@@ -252,14 +252,20 @@ BM_NetworkTransferColdReset(benchmark::State &state)
 }
 BENCHMARK(BM_NetworkTransferColdReset);
 
+/** One T3D alltoall point simulated per iteration.  The memo is off:
+ *  with it on, every iteration after the first would be a cache hit,
+ *  and the metrics twin below (never memoized) would be compared
+ *  against a lookup instead of a simulation. */
 void
 BM_SimulateCollective(benchmark::State &state)
 {
     const int p = static_cast<int>(state.range(0));
+    harness::MeasureOptions mo{1, 1, 0};
+    mo.memoize = false;
     for (auto _ : state) {
         auto meas = harness::measureCollective(
             machine::t3dConfig(), p, machine::Coll::Alltoall, 1024,
-            machine::Algo::Default, harness::MeasureOptions{1, 1, 0});
+            machine::Algo::Default, mo);
         benchmark::DoNotOptimize(meas.max_time);
     }
     state.SetItemsProcessed(state.iterations() * p * (p - 1));

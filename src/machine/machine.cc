@@ -132,6 +132,8 @@ Machine::metricsSnapshot()
     snap.counters["sim.tasks"] = sim_.tasksSpawned();
     snap.gauges["sim.event_queue_depth"] =
         static_cast<double>(sim_.queue().maxDepth());
+    snap.gauges["sim.roots_held"] =
+        static_cast<double>(sim_.rootsHighWater());
 
     // The fault layer's counters, unified into the same snapshot so
     // one report answers "what did this run's faults cost".

@@ -120,13 +120,16 @@ class Machine
   private:
     ConfigHandle config_;
     int size_;
-    sim::Simulator sim_;
     sim::Trace trace_;
     std::unique_ptr<net::Network> network_;
     std::unique_ptr<fault::FaultInjector> fault_;
     std::unique_ptr<stats::MachineMetrics> metrics_;
     std::unique_ptr<msg::Fabric> fabric_;
     std::unique_ptr<HardwareBarrier> hw_barrier_;
+    /** Declared after everything above so it is destroyed first: the
+     *  root frames and events it still holds after a failed or
+     *  deadlocked run point into the fabric's request pools. */
+    sim::Simulator sim_;
     CommHook *comm_hook_ = nullptr;
     std::map<std::vector<int>, int> context_registry_;
 };

@@ -49,11 +49,10 @@ Simulator::spawn(Task<void> task)
 {
     if (!task.valid())
         panic("Simulator::spawn: empty task");
-    auto handle = task.handle();
-    roots_.push_back(Root{std::move(task)});
-    ++tasks_spawned_;
+    auto handle = task.release();
+    roots_.adopt(handle);
     // Start the lazily-created coroutine; it runs until its first
-    // blocking point.
+    // blocking point (and may finish, and be freed, right here).
     handle.resume();
 }
 
@@ -70,28 +69,13 @@ Simulator::run()
     // Surface the first task failure before diagnosing deadlock: a
     // dead rank usually strands its peers, and the root cause is the
     // exception, not the resulting starvation.
-    for (auto &r : roots_) {
-        auto &p = r.task.handle().promise();
-        if (p.exception)
-            std::rethrow_exception(p.exception);
-    }
+    if (std::exception_ptr e = roots_.firstException())
+        std::rethrow_exception(e);
 
     std::size_t stuck = pendingTasks();
     if (stuck > 0)
         panic("Simulator::run: deadlock, %zu task(s) blocked with an "
               "empty event queue", stuck);
-
-    roots_.clear();
-}
-
-std::size_t
-Simulator::pendingTasks() const
-{
-    std::size_t n = 0;
-    for (const auto &r : roots_)
-        if (!r.task.done())
-            ++n;
-    return n;
 }
 
 } // namespace ccsim::sim

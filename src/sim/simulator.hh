@@ -15,6 +15,11 @@
  * the queue drains while spawned tasks are still incomplete, the run
  * is deadlocked (e.g. a receive nobody will ever match) and run()
  * panics.
+ *
+ * A spawned root's frame is freed as soon as it finishes without an
+ * exception, so a run's memory follows the roots still in flight, not
+ * how many were ever spawned.  Roots that threw (run() rethrows the
+ * first) and roots left blocked are destroyed with the Simulator.
  */
 
 #ifndef CCSIM_SIM_SIMULATOR_HH
@@ -180,24 +185,31 @@ class Simulator
     /**
      * Root a task into the simulator.  The task starts running at the
      * current time (it executes until its first block immediately).
+     * The simulator owns the frame from here on and frees it when the
+     * task finishes without an exception.
      */
     void spawn(Task<void> task);
 
     /**
      * Run until the event queue drains.  Panics on deadlock (tasks
      * still pending with an empty queue) and rethrows the first
-     * exception escaping any spawned task.
+     * exception, in spawn order, escaping any spawned task.
      */
     void run();
 
     /** Number of spawned tasks that have not yet completed. */
-    std::size_t pendingTasks() const;
+    std::size_t pendingTasks() const { return roots_.unfinished(); }
 
     /** Total events executed. */
     std::uint64_t eventsFired() const { return queue_.fired(); }
 
     /** Total tasks ever spawned (completed ones included). */
-    std::uint64_t tasksSpawned() const { return tasks_spawned_; }
+    std::uint64_t tasksSpawned() const { return roots_.adopted(); }
+
+    /** Most root tasks held at once: running, blocked, or failed and
+     *  awaiting rethrow.  Finished roots are freed, so this follows
+     *  in-flight work, not the number of tasks ever spawned. */
+    std::size_t rootsHighWater() const { return roots_.highWater(); }
 
     /**
      * Safety valve: panic if a single run() executes more than this
@@ -206,16 +218,9 @@ class Simulator
     void setEventLimit(std::uint64_t limit) { event_limit_ = limit; }
 
   private:
-    struct Root
-    {
-        Task<void> task;
-    };
-
     EventQueue queue_;
-    std::vector<Root> roots_;
-    std::exception_ptr pending_exception_;
+    detail::RootSet roots_;
     std::uint64_t event_limit_ = 0;
-    std::uint64_t tasks_spawned_ = 0;
 };
 
 } // namespace ccsim::sim

@@ -7,7 +7,10 @@
  * symmetric transfer, and when the child finishes its final awaiter
  * transfers control straight back to the awaiting parent.  Exceptions
  * thrown inside a task are captured and rethrown from the parent's
- * co_await.  Tasks are move-only and own their coroutine frame.
+ * co_await.  Tasks are move-only and own their coroutine frame,
+ * except a task handed to Simulator::spawn: that root's frame is owned
+ * by the simulator's RootSet and freed the moment the root finishes
+ * without an exception (see RootSet below).
  *
  * Rank programs block by co_awaiting primitives (delays, message
  * arrivals, barrier releases) that park the coroutine handle and
@@ -20,9 +23,11 @@
 
 #include <coroutine>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "sim/pool.hh"
 #include "util/logging.hh"
@@ -33,6 +38,8 @@ template <typename T>
 class Task;
 
 namespace detail {
+
+class RootSet;
 
 /** State shared by Task promises independent of the result type. */
 struct PromiseBase
@@ -60,6 +67,10 @@ struct PromiseBase
 
     std::coroutine_handle<> continuation;
     std::exception_ptr exception;
+    /** Set only on a spawned root: the set that owns its frame, and
+     *  its slot there. */
+    RootSet *root_set = nullptr;
+    std::size_t root_slot = 0;
 
     struct FinalAwaiter
     {
@@ -72,6 +83,11 @@ struct PromiseBase
             auto &p = h.promise();
             if (p.continuation)
                 return p.continuation;
+            // A root that finished cleanly frees its own frame here;
+            // nothing may touch h or this awaiter afterwards.  A root
+            // that threw stays parked so Simulator::run() can rethrow.
+            if (p.root_set && !p.exception)
+                p.root_set->reap(p.root_slot);
             return std::noop_coroutine();
         }
 
@@ -268,6 +284,14 @@ class Task<void>
   private:
     friend class Simulator;
 
+    /** Give up ownership of the frame (Simulator::spawn hands it to a
+     *  RootSet). */
+    std::coroutine_handle<promise_type>
+    release()
+    {
+        return std::exchange(handle_, nullptr);
+    }
+
     explicit Task(std::coroutine_handle<promise_type> h) : handle_(h) {}
 
     void
@@ -281,6 +305,103 @@ class Task<void>
 
     std::coroutine_handle<promise_type> handle_ = nullptr;
 };
+
+namespace detail {
+
+/**
+ * The root tasks a Simulator owns.  A root leaves the set, and its
+ * frame is freed, from its own final awaiter as soon as it finishes
+ * without an exception.  The set therefore holds only roots that are
+ * still running or blocked, plus roots that threw (kept so that
+ * Simulator::run() can rethrow the first of them).  Memory is bounded
+ * by in-flight work, not by how many roots a run has ever spawned:
+ * every isend/irecv is a root, and its finished frame would otherwise
+ * pin its request state too.
+ */
+class RootSet
+{
+  public:
+    using Handle = std::coroutine_handle<Task<void>::promise_type>;
+
+    RootSet() = default;
+    RootSet(const RootSet &) = delete;
+    RootSet &operator=(const RootSet &) = delete;
+
+    /** Destroys every root still held (blocked or failed). */
+    ~RootSet()
+    {
+        for (Entry &e : entries_)
+            e.handle.destroy();
+    }
+
+    /** Take ownership of a not-yet-started root frame. */
+    void
+    adopt(Handle h)
+    {
+        auto &p = h.promise();
+        p.root_set = this;
+        p.root_slot = entries_.size();
+        entries_.push_back(Entry{h, adopted_++});
+        if (entries_.size() > high_water_)
+            high_water_ = entries_.size();
+    }
+
+    /** Drop the finished root in @p slot and destroy its frame. */
+    void
+    reap(std::size_t slot) noexcept
+    {
+        Handle h = entries_[slot].handle;
+        if (slot + 1 != entries_.size()) {
+            entries_[slot] = entries_.back();
+            entries_[slot].handle.promise().root_slot = slot;
+        }
+        entries_.pop_back();
+        h.destroy();
+    }
+
+    /** Roots not yet finished (running or blocked). */
+    std::size_t
+    unfinished() const
+    {
+        std::size_t n = 0;
+        for (const Entry &e : entries_)
+            if (!e.handle.done())
+                ++n;
+        return n;
+    }
+
+    /** The exception of the earliest-adopted root that threw, if any
+     *  (slots are reordered by reaping, so order comes from seq). */
+    std::exception_ptr
+    firstException() const
+    {
+        const Entry *first = nullptr;
+        for (const Entry &e : entries_)
+            if (e.handle.promise().exception &&
+                (!first || e.seq < first->seq))
+                first = &e;
+        return first ? first->handle.promise().exception : nullptr;
+    }
+
+    /** Roots adopted over the set's lifetime. */
+    std::uint64_t adopted() const { return adopted_; }
+
+    /** Most roots held at once over the set's lifetime. */
+    std::size_t highWater() const { return high_water_; }
+
+  private:
+    struct Entry
+    {
+        Handle handle;
+        std::uint64_t seq; //!< adoption order
+    };
+
+    std::vector<Entry> entries_;
+    std::uint64_t adopted_ = 0;
+    std::size_t high_water_ = 0;
+};
+
+} // namespace detail
 
 } // namespace ccsim::sim
 

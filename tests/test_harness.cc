@@ -59,6 +59,28 @@ TEST(Harness, MoreIterationsSameSteadyState)
     EXPECT_LT(rel, 0.05);
 }
 
+TEST(Harness, RootsHeldDoNotGrowWithIterations)
+{
+    // Every isend/irecv is a simulator root.  Finished roots are
+    // freed, so the most held at once is set by one iteration's
+    // in-flight work, not by how many iterations ran.
+    auto cfg = machine::sp2Config();
+    cfg.topo_spec = "fattree";
+    auto held = [&](int k) {
+        MeasureOptions o;
+        o.iterations = k;
+        o.repetitions = 1;
+        o.memoize = false;
+        o.metrics = true;
+        auto m = measureCollective(cfg, 4096, Coll::Barrier, 0,
+                                   Algo::Default, o);
+        return m.metrics.gauges.at("sim.roots_held");
+    };
+    double k1 = held(1);
+    EXPECT_GT(k1, 0.0);
+    EXPECT_EQ(held(8), k1);
+}
+
 TEST(Harness, PaperFaithfulOptionsRun)
 {
     auto opt = MeasureOptions::paperFaithful();

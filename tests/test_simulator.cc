@@ -1,5 +1,7 @@
 /** @file Unit tests for the Simulator event loop and awaitables. */
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -216,6 +218,123 @@ TEST(Simulator, RunTwiceWithFreshSpawns)
     s.spawn(prog());
     s.run();
     EXPECT_EQ(count, 2);
+}
+
+TEST(Simulator, ReclaimedRootsKeepFirstExceptionInSpawnOrder)
+{
+    Simulator s;
+    // Spawned first, throws last in simulated time.
+    auto early = [&]() -> Task<void> {
+        co_await s.delay(50 * US);
+        throw std::runtime_error("early");
+    };
+    // Spawned last, throws first in simulated time.
+    auto late = [&]() -> Task<void> {
+        co_await s.delay(1 * US);
+        throw std::runtime_error("late");
+    };
+    auto finisher = [&](int i) -> Task<void> {
+        co_await s.delay((i % 97) * US);
+    };
+    s.spawn(early());
+    for (int i = 0; i < 5000; ++i)
+        s.spawn(finisher(i));
+    s.spawn(late());
+    try {
+        s.run();
+        FAIL() << "run() should have rethrown";
+    } catch (const std::runtime_error &e) {
+        EXPECT_EQ(std::string(e.what()), "early");
+    }
+    // The finishers were freed as they completed; only the two failed
+    // roots are still held.
+    EXPECT_EQ(s.pendingTasks(), 0u);
+    EXPECT_EQ(s.tasksSpawned(), 5002u);
+}
+
+TEST(Simulator, DeadlockAfterReclaimedRootsCountsBlockedTasks)
+{
+    throwOnError(true);
+    Simulator s;
+    Trigger never(s);
+    auto blocked = [&]() -> Task<void> {
+        co_await s.delay(3 * US);
+        co_await never.wait();
+    };
+    auto finisher = [&](int i) -> Task<void> {
+        co_await s.delay((i % 13) * US);
+    };
+    for (int i = 0; i < 4000; ++i) {
+        s.spawn(finisher(i));
+        if (i % 1000 == 500)
+            s.spawn(blocked());
+    }
+    try {
+        s.run();
+        FAIL() << "run() should have diagnosed the deadlock";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find("deadlock, 4 task(s)"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(s.pendingTasks(), 4u);
+    throwOnError(false);
+}
+
+TEST(Simulator, DestroyingMidRunFreesBlockedRoots)
+{
+    throwOnError(true);
+    int freed = 0;
+    struct Guard
+    {
+        int *count;
+        ~Guard() { ++*count; }
+    };
+    {
+        Simulator s;
+        s.setEventLimit(10);
+        Trigger never(s);
+        auto blocked = [&]() -> Task<void> {
+            Guard g{&freed};
+            co_await never.wait();
+        };
+        auto ticking = [&]() -> Task<void> {
+            Guard g{&freed};
+            for (;;)
+                co_await s.delay(1 * NS);
+        };
+        for (int i = 0; i < 3; ++i)
+            s.spawn(blocked());
+        s.spawn(ticking());
+        // Stop mid-run with events still queued and every root parked.
+        EXPECT_THROW(s.run(), PanicError);
+        EXPECT_EQ(freed, 0);
+        EXPECT_EQ(s.pendingTasks(), 4u);
+    }
+    EXPECT_EQ(freed, 4);
+    throwOnError(false);
+}
+
+TEST(Simulator, RootsHeldDoNotGrowWithRootsSpawned)
+{
+    Simulator s;
+    constexpr int kRoots = 100000;
+    int done = 0;
+    auto leaf = [&]() -> Task<void> {
+        ++done;
+        co_return;
+    };
+    auto driver = [&]() -> Task<void> {
+        co_await s.delay(1 * US);
+        for (int i = 0; i < kRoots; ++i)
+            s.spawn(leaf());
+    };
+    s.spawn(driver());
+    s.run();
+    EXPECT_EQ(done, kRoots);
+    EXPECT_EQ(s.tasksSpawned(), static_cast<std::uint64_t>(kRoots) + 1);
+    // The driver plus the one leaf in flight, whatever kRoots is.
+    EXPECT_EQ(s.rootsHighWater(), 2u);
 }
 
 } // namespace
