@@ -246,8 +246,8 @@ TEST(Simulator, ReclaimedRootsKeepFirstExceptionInSpawnOrder)
     } catch (const std::runtime_error &e) {
         EXPECT_EQ(std::string(e.what()), "early");
     }
-    // The finishers were freed as they completed; only the two failed
-    // roots are still held.
+    // Every root has finished: the finishers were freed, the two
+    // throwers are held for the rethrow, none is left blocked.
     EXPECT_EQ(s.pendingTasks(), 0u);
     EXPECT_EQ(s.tasksSpawned(), 5002u);
 }
