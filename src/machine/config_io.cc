@@ -285,12 +285,6 @@ algoFromName(const std::string &name)
                 valid.c_str());
 }
 
-Algo
-algoByName(const std::string &name)
-{
-    return algoFromName(name);
-}
-
 TopologyKind
 topologyKindByName(const std::string &name)
 {

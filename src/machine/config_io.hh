@@ -93,9 +93,6 @@ std::string collKey(Coll op);
  */
 Algo algoFromName(const std::string &name);
 
-/** Deprecated alias for algoFromName() (kept for source compat). */
-Algo algoByName(const std::string &name);
-
 /** Inverse of topologyKindName(); ConfigError on unknown names. */
 TopologyKind topologyKindByName(const std::string &name);
 

@@ -58,14 +58,14 @@ struct CollCtx
     }
 
     /** Charge the one-time collective entry cost. */
-    sim::Task<void> entry() const { return tp->busy(costs.entry); }
+    msg::BusyAwaiter entry() const { return tp->busy(costs.entry); }
 
     /**
      * Charge one algorithm stage's software cost; @p bytes is the
      * payload this rank handles in the stage (for the per-byte
      * component of the vendor-MPI calibration).
      */
-    sim::Task<void>
+    msg::BusyAwaiter
     stage(Bytes bytes = 0) const
     {
         if (om)
@@ -76,7 +76,7 @@ struct CollCtx
     }
 
     /** Charge the arithmetic to combine @p m bytes of operands. */
-    sim::Task<void>
+    msg::BusyAwaiter
     arith(Bytes m) const
     {
         double bw = costs.reduce_bandwidth_override_mbs > 0
@@ -122,7 +122,7 @@ struct CollCtx
     }
 
     /** Wait on a request started through this context. */
-    sim::Task<msg::Message>
+    msg::WaitAwaiter
     wait(msg::Request r) const
     {
         return tp->wait(std::move(r));

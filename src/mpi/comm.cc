@@ -150,7 +150,7 @@ Comm::irecv(int src, int tag) const
     return transport().irecv(g, tag, ptpContext(ctx_id_));
 }
 
-sim::Task<msg::Message>
+msg::WaitAwaiter
 Comm::wait(msg::Request req) const
 {
     if (auto *h = mach_->commHook())

@@ -81,7 +81,7 @@ class Comm
     msg::Request isend(int dst, int tag, Bytes bytes,
                        msg::PayloadPtr payload = nullptr) const;
     msg::Request irecv(int src, int tag) const;
-    sim::Task<msg::Message> wait(msg::Request req) const;
+    msg::WaitAwaiter wait(msg::Request req) const;
     sim::Task<msg::Message> sendrecv(int dst, int send_tag, Bytes bytes,
                                      int src, int recv_tag,
                                      msg::PayloadPtr payload

@@ -40,18 +40,15 @@ Transport::Transport(sim::Simulator &sim, net::Network &net, Fabric &fabric,
               params_.coprocessor_overlap);
 }
 
-sim::Task<void>
+BusyAwaiter
 Transport::busy(Time cost)
 {
     if (cost < 0)
         panic("Transport::busy: negative cost");
     if (fi_)
         cost = fi_->scaleCpu(node_, cost); // straggler injection
-    Time start = std::max(sim_.now(), cpu_free_);
-    Time end = start + cost;
-    cpu_free_ = end;
-    if (end > sim_.now())
-        co_await sim_.delay(end - sim_.now());
+    cpu_free_ = std::max(sim_.now(), cpu_free_) + cost;
+    return BusyAwaiter(sim_, cpu_free_);
 }
 
 bool
@@ -326,55 +323,45 @@ Transport::recv(int src, int tag, int context, CostOverride ov)
             have_eager = false;
     }
 
-    if (have_eager) {
-        Message m = std::move(*eit);
-        unexpected_.erase(eit);
-        co_await busy(o_recv +
-                      transferTime(m.bytes, params_.copy_bandwidth_mbs));
-        ++recvs_;
-        if (tm_)
-            tm_->recvs.add();
-        traceSpan(sim::SpanKind::Recv, span_start, m.bytes, m.src);
-        co_return m;
-    }
-    if (have_rts) {
-        Rts rts = std::move(*rit);
-        pending_rts_.erase(rit);
-        Message m = co_await recvRendezvous(std::move(rts), ov);
-        traceSpan(sim::SpanKind::Recv, span_start, m.bytes, m.src);
-        co_return m;
-    }
-
-    // Nothing has arrived yet: park until a matching delivery.
+    // The one PendingRecv carries the match whether it was already
+    // queued or is delivered while parked, and its eager slot then
+    // holds the result: the frame keeps a single Message across every
+    // suspension point.
     PendingRecv pr;
-    pr.src = src;
-    pr.tag = tag;
-    pr.context = context;
-    co_await sim::suspendWith([&](std::coroutine_handle<> h) {
-        pr.handle = h;
-        pending_recvs_.push_back(&pr);
-        if (tm_)
-            tm_->pending_recv_hw.observe(
-                static_cast<double>(pending_recvs_.size()));
-    });
+    if (have_eager) {
+        pr.eager = std::move(*eit);
+        unexpected_.erase(eit);
+    } else if (have_rts) {
+        pr.rts = std::move(*rit);
+        pending_rts_.erase(rit);
+    } else {
+        // Nothing has arrived yet: park until a matching delivery.
+        pr.src = src;
+        pr.tag = tag;
+        pr.context = context;
+        co_await sim::suspendWith([&](std::coroutine_handle<> h) {
+            pr.handle = h;
+            pending_recvs_.push_back(&pr);
+            if (tm_)
+                tm_->pending_recv_hw.observe(
+                    static_cast<double>(pending_recvs_.size()));
+        });
+        if (!pr.eager && !pr.rts)
+            panic("Transport::recv: woken with nothing delivered");
+    }
 
-    if (pr.eager) {
-        Message m = std::move(*pr.eager);
-        co_await busy(o_recv +
-                      transferTime(m.bytes, params_.copy_bandwidth_mbs));
+    if (pr.rts) {
+        pr.eager = co_await recvRendezvous(std::move(*pr.rts), ov);
+    } else {
+        co_await busy(o_recv + transferTime(pr.eager->bytes,
+                                            params_.copy_bandwidth_mbs));
         ++recvs_;
         if (tm_)
             tm_->recvs.add();
-        traceSpan(sim::SpanKind::Recv, span_start, m.bytes, m.src);
-        co_return m;
     }
-    if (!pr.rts)
-        panic("Transport::recv: woken with nothing delivered");
-    {
-        Message m = co_await recvRendezvous(std::move(*pr.rts), ov);
-        traceSpan(sim::SpanKind::Recv, span_start, m.bytes, m.src);
-        co_return m;
-    }
+    traceSpan(sim::SpanKind::Recv, span_start, pr.eager->bytes,
+              pr.eager->src);
+    co_return std::move(*pr.eager);
 }
 
 sim::Task<Message>
@@ -481,18 +468,12 @@ Transport::irecv(int src, int tag, int context, CostOverride ov)
     return Request{std::move(st)};
 }
 
-sim::Task<Message>
+WaitAwaiter
 Transport::wait(Request req)
 {
     if (!req.state)
         panic("Transport::wait: empty request");
-    if (!req.state->done.fired())
-        co_await req.state->done.wait();
-    if (req.state->exc)
-        std::rethrow_exception(req.state->exc);
-    if (req.state->msg)
-        co_return std::move(*req.state->msg);
-    co_return Message{};
+    return WaitAwaiter(std::move(req));
 }
 
 sim::Task<Message>
@@ -533,6 +514,10 @@ Fabric::~Fabric()
     for (int i = n_; i-- > 0;)
         slab_[i].~Transport();
     ::operator delete(slab_, std::align_val_t{alignof(Transport)});
+    // The fabric is the last frame-pool user a Machine destroys (its
+    // simulator goes first), so the run is over: hand the blocks the
+    // pool parked beyond its reserve back to the heap.
+    sim::framePool().trim();
 }
 
 Transport &

@@ -126,6 +126,67 @@ struct Request
     bool test() const { return state && state->done.fired(); }
 };
 
+/**
+ * What Transport::busy returns: the CPU timeline has already been
+ * advanced when this is built, so awaiting it only lets simulated
+ * time catch up.  Ready when the end time is not in the future;
+ * otherwise the caller is resumed by one event at the end time.  No
+ * coroutine frame is created.
+ */
+class [[nodiscard]] BusyAwaiter
+{
+  public:
+    BusyAwaiter(sim::Simulator &sim, Time end) : sim_(&sim), end_(end) {}
+
+    bool await_ready() const noexcept { return end_ <= sim_->now(); }
+
+    void
+    await_suspend(std::coroutine_handle<> h) const
+    {
+        sim_->resumeAt(end_, h);
+    }
+
+    void await_resume() const noexcept {}
+
+  private:
+    sim::Simulator *sim_;
+    Time end_;
+};
+
+/**
+ * What Transport::wait returns: parks the caller on the request's
+ * completion trigger (ready at once if it has already fired), then
+ * rethrows the operation's failure or hands back its message (an
+ * empty Message for sends).  No coroutine frame is created.
+ */
+class [[nodiscard]] WaitAwaiter
+{
+  public:
+    explicit WaitAwaiter(Request req) : req_(std::move(req)) {}
+
+    bool await_ready() const noexcept { return req_.state->done.fired(); }
+
+    void
+    await_suspend(std::coroutine_handle<> h)
+    {
+        req_.state->done.wait().await_suspend(h);
+    }
+
+    Message
+    await_resume()
+    {
+        ReqState &st = *req_.state;
+        if (st.exc)
+            std::rethrow_exception(st.exc);
+        if (st.msg)
+            return std::move(*st.msg);
+        return Message{};
+    }
+
+  private:
+    Request req_;
+};
+
 /** One node's messaging endpoint. */
 class Transport
 {
@@ -178,7 +239,7 @@ class Transport
      * Wait for a request; returns the message for receives (an empty
      * Message for sends) and rethrows any failure.
      */
-    sim::Task<Message> wait(Request req);
+    WaitAwaiter wait(Request req);
 
     /**
      * Combined send + receive, both in flight at once (the primitive
@@ -191,11 +252,13 @@ class Transport
                                 CostOverride ov = {});
 
     /**
-     * Occupy this node's CPU for @p cost, serialized after any
-     * earlier software activity on the node.  Exposed so collectives
+     * Occupy this node's CPU for @p cost (scaled on a straggler
+     * node), serialized after any earlier software activity on the
+     * node.  The CPU timeline advances at the call; co_await the
+     * result to block until the work is done.  Exposed so collectives
      * can charge reduction arithmetic and per-call entry costs.
      */
-    sim::Task<void> busy(Time cost);
+    BusyAwaiter busy(Time cost);
 
     /** Messages sent (including self-sends). */
     std::uint64_t sendsStarted() const { return sends_; }

@@ -11,7 +11,9 @@
  *    promise types allocate coroutine frames from.  Frames are
  *    created and destroyed at an enormous rate but only a handful of
  *    distinct sizes exist, so a freelist turns every frame
- *    allocation after warm-up into a pointer pop.
+ *    allocation after warm-up into a pointer pop.  It keeps every
+ *    released block until the run's Machine is gone, then trims
+ *    back to a fixed reserve.
  *
  *  - Pool<T> / PoolPtr<T>: an intrusive-refcount object pool used by
  *    the transport for its ReqState / Handshake completion objects,
@@ -87,29 +89,42 @@ struct PoolCounters
  * Sizes are rounded up to kGranule-byte classes; blocks above the
  * largest class (or over-aligned frames, which never reach a promise
  * operator new without an align_val_t overload) go straight to the
- * global heap.  Each class keeps at most kMaxPerClass parked blocks
- * so a burst cannot pin memory forever.
+ * global heap.
+ *
+ * During a run every released block is parked, so a class's heap
+ * allocations stop once it has reached the run's peak of live
+ * blocks: a p = 16384 run churns millions of frames through a few
+ * hundred thousand blocks instead of handing most of them back to
+ * malloc and asking again.  trim() returns each class to kReserve
+ * parked blocks; msg::Fabric calls it when a Machine is torn down
+ * (the last pool user to go), so an idle thread holds no more than
+ * the reserve however large its last run was.
  */
 class FramePool
 {
   public:
     static constexpr std::size_t kGranule = 64;
     static constexpr std::size_t kClasses = 40; //!< up to 2560 bytes
-    static constexpr std::size_t kMaxPerClass = 512;
+    static constexpr std::size_t kReserve = 512; //!< kept per class by trim
 
     FramePool() = default;
     FramePool(const FramePool &) = delete;
     FramePool &operator=(const FramePool &) = delete;
 
-    ~FramePool()
+    ~FramePool() { trim(0); }
+
+    /** Hand parked blocks back to the heap until every class holds
+     *  at most @p keep. */
+    void
+    trim(std::size_t keep = kReserve) noexcept
     {
         for (std::size_t c = 0; c < kClasses; ++c) {
-            Node *n = free_[c];
-            while (n) {
+            while (parked_[c] > keep) {
+                Node *n = free_[c];
+                free_[c] = n->next;
+                --parked_[c];
                 poolUnpoison(n, bytesFor(c));
-                Node *next = n->next;
                 ::operator delete(n);
-                n = next;
             }
         }
     }
@@ -138,7 +153,7 @@ class FramePool
     release(void *p, std::size_t n) noexcept
     {
         std::size_t c = classFor(n);
-        if (c >= kClasses || parked_[c] >= kMaxPerClass) {
+        if (c >= kClasses) {
             ::operator delete(p);
             return;
         }
@@ -152,6 +167,9 @@ class FramePool
     }
 
     const PoolCounters &counters() const { return counters_; }
+
+    /** Blocks parked in size class @p c (c < kClasses). */
+    std::size_t parked(std::size_t c) const { return parked_[c]; }
 
   private:
     struct Node
@@ -170,7 +188,7 @@ class FramePool
     }
 
     Node *free_[kClasses] = {};
-    std::uint32_t parked_[kClasses] = {};
+    std::size_t parked_[kClasses] = {};
     PoolCounters counters_;
 };
 

@@ -15,7 +15,12 @@
  * Rank programs block by co_awaiting primitives (delays, message
  * arrivals, barrier releases) that park the coroutine handle and
  * resume it from a scheduled simulator event, so "time passes" for a
- * program exactly when the event queue says it does.
+ * program exactly when the event queue says it does.  The primitives
+ * are plain awaiters, not Tasks, and so are the two the message hot
+ * path awaits most — a CPU charge (msg::Transport::busy) and a
+ * request completion (msg::Transport::wait): blocking on them costs
+ * no frame.  Only operations that are several protocol steps (send,
+ * recv, sendrecv, the isend/irecv roots) are Task coroutines.
  */
 
 #ifndef CCSIM_SIM_TASK_HH

@@ -124,8 +124,8 @@ TEST(ConfigIo, NameHelpers)
 {
     EXPECT_EQ(collKey(Coll::Alltoall), "alltoall");
     EXPECT_EQ(collKey(Coll::ReduceScatter), "reduce_scatter");
-    EXPECT_EQ(algoByName("binomial"), Algo::Binomial);
-    EXPECT_EQ(algoByName("rabenseifner"), Algo::Rabenseifner);
+    EXPECT_EQ(algoFromName("binomial"), Algo::Binomial);
+    EXPECT_EQ(algoFromName("rabenseifner"), Algo::Rabenseifner);
     EXPECT_EQ(topologyKindByName("torus3d"), TopologyKind::Torus3D);
     EXPECT_EQ(topologyKindByName("hypercube"), TopologyKind::Hypercube);
     EXPECT_EQ(presetByName("T3D").name, "T3D");

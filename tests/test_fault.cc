@@ -254,6 +254,78 @@ TEST_F(FaultSpecTest, ExhaustedRetriesRaiseFaultErrorNamingLink)
     EXPECT_GE(mach.faultReport().drops, 2u);
 }
 
+TEST_F(FaultSpecTest, FailFastWaitOnABlackHoledIsendRaisesTheFaultError)
+{
+    machine::MachineConfig cfg = machine::t3dConfig();
+    cfg.fault.seed = 2;
+    cfg.fault.link_blackhole_rate = 1.0;
+    cfg.fault.retry_budget = 2;
+    cfg.fault.retry_timeout = 10 * US;
+    cfg.fault.policy = RecoveryPolicy::FailFast;
+
+    machine::Machine mach(cfg, 2);
+    bool waited = false;
+    auto sender = [&]() -> sim::Task<void> {
+        mpi::Comm comm(mach, 0);
+        // Rendezvous-sized: the request stays open until a CTS that
+        // can never come, so the waiter is parked when the RTS's
+        // retransmissions run out.
+        msg::Request r = comm.isend(1, 0, 64 * KiB);
+        co_await comm.wait(std::move(r));
+        waited = true;
+    };
+    auto receiver = [&]() -> sim::Task<void> {
+        mpi::Comm comm(mach, 1);
+        co_await comm.recv(0, 0);
+    };
+    mach.sim().spawn(sender());
+    mach.sim().spawn(receiver());
+
+    try {
+        mach.run();
+        FAIL() << "run() should have thrown FaultError";
+    } catch (const FaultError &e) {
+        // The error the coroutine wait() raised here, field for field.
+        EXPECT_EQ(e.src(), 0);
+        EXPECT_EQ(e.dst(), 1);
+        EXPECT_EQ(e.link(), 0);
+        EXPECT_EQ(e.when(), 39 * US);
+        EXPECT_EQ(e.bytes(), 0); // the RTS
+        EXPECT_EQ(e.attempts(), 3);
+        EXPECT_STREQ(e.what(),
+                     "message 0 -> 1 (0 B) undeliverable: link 0 "
+                     "black-holed, 3 attempts exhausted at t=39.00 us");
+    }
+    EXPECT_EQ(mach.sim().eventsFired(), 3u);
+    EXPECT_FALSE(waited);
+}
+
+TEST_F(FaultSpecTest, StragglerBusyIsScaledExactlyOnce)
+{
+    machine::MachineConfig cfg = machine::sp2Config();
+    cfg.fault.seed = 4;
+    cfg.fault.straggler_rate = 0.5;
+    cfg.fault.straggler_factor = 3.0;
+    machine::Machine mach(cfg, 8);
+    const FaultInjector &fi = *mach.faultInjector();
+    int straggler = -1, healthy = -1;
+    for (int n = 0; n < 8; ++n)
+        (fi.cpuFactor(n) == 1.0 ? healthy : straggler) = n;
+    ASSERT_GE(straggler, 0);
+    ASSERT_GE(healthy, 0);
+
+    Time slow_done = -1, fast_done = -1;
+    auto prog = [&](int node, Time &done) -> sim::Task<void> {
+        co_await mach.node(node).busy(10 * US);
+        done = mach.sim().now();
+    };
+    mach.sim().spawn(prog(straggler, slow_done));
+    mach.sim().spawn(prog(healthy, fast_done));
+    mach.run();
+    EXPECT_EQ(slow_done, 30 * US);
+    EXPECT_EQ(fast_done, 10 * US);
+}
+
 TEST_F(FaultSpecTest, SweepIsByteIdenticalAcrossJobCounts)
 {
     harness::SweepSpec spec;

@@ -373,6 +373,93 @@ TEST_F(TransportTest, RequestTestReflectsCompletion)
     sim().run();
 }
 
+TEST_F(TransportTest, WaitOnCompletedRequestNeitherSuspendsNorSchedules)
+{
+    Request r;
+    auto sender = [&]() -> Task<void> {
+        r = fabric_->node(0).isend(1, 4, 0, 64);
+        co_return;
+    };
+    auto receiver = [&]() -> Task<void> {
+        co_await fabric_->node(1).recv(0, 4, 0);
+    };
+    sim().spawn(sender());
+    sim().spawn(receiver());
+    sim().run();
+    ASSERT_TRUE(r.test());
+
+    const std::uint64_t events = sim().eventsFired();
+    EXPECT_TRUE(fabric_->node(0).wait(r).await_ready());
+    bool finished = false;
+    auto waiter = [&]() -> Task<void> {
+        co_await fabric_->node(0).wait(r);
+        finished = true;
+    };
+    sim().spawn(waiter());
+    // The waiter ran to its end inside spawn(): it never suspended.
+    EXPECT_TRUE(finished);
+    EXPECT_TRUE(sim().queue().empty());
+    sim().run();
+    EXPECT_EQ(sim().eventsFired(), events);
+}
+
+TEST_F(TransportTest, WaitRethrowsTheFailureARequestRecorded)
+{
+    throwOnError(true);
+    bool caught = false;
+    auto prog = [&]() -> Task<void> {
+        // An out-of-range destination fails inside the isend's own
+        // task; the request records the error for its waiter.
+        Request r = fabric_->node(0).isend(9, 1, 0, 8);
+        EXPECT_TRUE(r.test());
+        try {
+            co_await fabric_->node(0).wait(std::move(r));
+        } catch (const PanicError &) {
+            caught = true;
+        }
+    };
+    sim().spawn(prog());
+    sim().run();
+    throwOnError(false);
+    EXPECT_TRUE(caught);
+}
+
+TEST_F(TransportTest, ZeroCostBusyOnAnIdleCpuSchedulesNothing)
+{
+    Time after_zero = -1, after_work = -1;
+    auto prog = [&]() -> Task<void> {
+        co_await fabric_->node(0).busy(0);
+        after_zero = sim().now();
+        co_await fabric_->node(0).busy(5 * US);
+        after_work = sim().now();
+        co_await fabric_->node(0).busy(0); // CPU free again at now
+    };
+    sim().spawn(prog());
+    EXPECT_EQ(after_zero, 0);
+    EXPECT_EQ(sim().queue().size(), 1u); // only the 5 us resumption
+    sim().run();
+    EXPECT_EQ(after_work, 5 * US);
+    EXPECT_EQ(sim().eventsFired(), 1u);
+}
+
+TEST_F(TransportTest, BusyAdvancesTheCpuTimelineAtTheCall)
+{
+    Time second_done = -1, first_done = -1;
+    auto prog = [&]() -> Task<void> {
+        // The first charge is taken when busy() is called, so the
+        // second queues behind it although the first is awaited last.
+        auto first = fabric_->node(0).busy(3 * US);
+        co_await fabric_->node(0).busy(4 * US);
+        second_done = sim().now();
+        co_await first;
+        first_done = sim().now();
+    };
+    sim().spawn(prog());
+    sim().run();
+    EXPECT_EQ(second_done, 7 * US);
+    EXPECT_EQ(first_done, 7 * US);
+}
+
 TEST_F(TransportTest, UnmatchedRecvDeadlocks)
 {
     throwOnError(true);
