@@ -285,7 +285,7 @@ TEST_F(FaultSpecTest, FailFastWaitOnABlackHoledIsendRaisesTheFaultError)
         mach.run();
         FAIL() << "run() should have thrown FaultError";
     } catch (const FaultError &e) {
-        // The error the coroutine wait() raised here, field for field.
+        // Pinned field for field: the RTS's retransmissions run out.
         EXPECT_EQ(e.src(), 0);
         EXPECT_EQ(e.dst(), 1);
         EXPECT_EQ(e.link(), 0);

@@ -4,9 +4,11 @@
  * the per-message hot path asks for, and how many the pool keeps.
  *
  * The counts are deterministic (the simulator is single-threaded and
- * each test starts from a trimmed pool), so each bound is exact
- * enough that making busy()/wait() coroutines again, or capping the
- * pool's parked blocks per size class, trips one of them.
+ * each test starts from a trimmed pool), so each bound is tight
+ * enough that turning busy()/wait() into coroutines, capping the
+ * blocks a size class may park, or skipping the trim at Machine
+ * teardown trips one of them.  A last test pins the event counts of
+ * a few fixed points, which the frame-free awaiters must not move.
  */
 
 #include <cstdint>
@@ -102,7 +104,7 @@ TEST(FrameBudget, DestroyedMachineLeavesOnlyTheReserve)
             << "size class " << c;
 }
 
-TEST(FrameBudget, EventCountsAreUnchangedOnFixedPoints)
+TEST(FrameBudget, EventCountsOfFixedPointsArePinned)
 {
     harness::MeasureOptions o = coldOptions(2);
     o.metrics = true;
@@ -111,9 +113,8 @@ TEST(FrameBudget, EventCountsAreUnchangedOnFixedPoints)
                                           machine::Algo::Default, o)
             .metrics.counters.at("sim.events");
     };
-    // The counts the coroutine busy()/wait() produced: a zero-cost
-    // charge on an idle CPU (SP2's barrier entry) schedules nothing,
-    // and every wait parks exactly as before.
+    // Pinned counts: a zero-cost charge on an idle CPU (SP2's barrier
+    // entry) schedules no event, and a wait adds none of its own.
     EXPECT_EQ(events(machine::Coll::Barrier, 64, 0), 7680u);
     EXPECT_EQ(events(machine::Coll::Alltoall, 16, 1024), 4688u);
     EXPECT_EQ(events(machine::Coll::Scan, 16, 64), 1486u);
