@@ -1,8 +1,5 @@
 #include "fault/fault_spec.hh"
 
-#include <stdexcept>
-#include <vector>
-
 #include "util/cli.hh"
 #include "util/logging.hh"
 
@@ -34,12 +31,10 @@ policyFromName(const std::string &name)
     std::string hint = cli::closestMatch(
         name, {"fail_fast", "retry_escalate", "degrade"});
     if (!hint.empty())
-        fatal("--faults: unknown policy '%s' (did you mean '%s'? "
-              "valid: fail_fast, retry_escalate, degrade)",
-              name.c_str(), hint.c_str());
-    fatal("--faults: unknown policy '%s' (valid: fail_fast, "
-          "retry_escalate, degrade)",
-          name.c_str());
+        hint = "did you mean '" + hint + "'? ";
+    raiseError(ConfigError(strFormat(
+        "unknown policy '%s' (%svalid: fail_fast, retry_escalate, "
+        "degrade)", name.c_str(), hint.c_str())));
 }
 
 bool
@@ -101,126 +96,6 @@ mixSeed(std::uint64_t seed, std::uint64_t salt)
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
-}
-
-namespace {
-
-double
-parseDoubleArg(const std::string &key, const std::string &value)
-{
-    try {
-        std::size_t pos = 0;
-        double d = std::stod(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument("trailing");
-        return d;
-    } catch (const std::exception &) {
-        fatal("--faults: bad numeric value '%s' for '%s'",
-              value.c_str(), key.c_str());
-    }
-}
-
-long long
-parseIntArg(const std::string &key, const std::string &value)
-{
-    try {
-        std::size_t pos = 0;
-        long long v = std::stoll(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument("trailing");
-        return v;
-    } catch (const std::exception &) {
-        fatal("--faults: bad integer value '%s' for '%s'",
-              value.c_str(), key.c_str());
-    }
-}
-
-} // namespace
-
-FaultSpec
-parseFaultSpec(const std::string &text)
-{
-    FaultSpec spec;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        std::size_t comma = text.find(',', pos);
-        if (comma == std::string::npos)
-            comma = text.size();
-        std::string item = text.substr(pos, comma - pos);
-        pos = comma + 1;
-        if (item.empty())
-            continue;
-        std::size_t eq = item.find('=');
-        if (eq == std::string::npos)
-            fatal("--faults: expected key=value, got '%s'",
-                  item.c_str());
-        std::string key = item.substr(0, eq);
-        std::string value = item.substr(eq + 1);
-
-        if (key == "seed")
-            spec.seed =
-                static_cast<std::uint64_t>(parseIntArg(key, value));
-        else if (key == "degrade")
-            spec.link_degrade_rate = parseDoubleArg(key, value);
-        else if (key == "degrade_factor")
-            spec.link_degrade_factor = parseDoubleArg(key, value);
-        else if (key == "blackhole")
-            spec.link_blackhole_rate = parseDoubleArg(key, value);
-        else if (key == "straggler")
-            spec.straggler_rate = parseDoubleArg(key, value);
-        else if (key == "straggler_factor")
-            spec.straggler_factor = parseDoubleArg(key, value);
-        else if (key == "drop")
-            spec.msg_drop_rate = parseDoubleArg(key, value);
-        else if (key == "delay")
-            spec.msg_delay_rate = parseDoubleArg(key, value);
-        else if (key == "delay_us")
-            spec.msg_delay = microseconds(parseDoubleArg(key, value));
-        else if (key == "window_start_us")
-            spec.window_start =
-                microseconds(parseDoubleArg(key, value));
-        else if (key == "window_us")
-            spec.window_duration =
-                microseconds(parseDoubleArg(key, value));
-        else if (key == "retries")
-            spec.retry_budget =
-                static_cast<int>(parseIntArg(key, value));
-        else if (key == "timeout_us")
-            spec.retry_timeout =
-                microseconds(parseDoubleArg(key, value));
-        else if (key == "backoff")
-            spec.retry_backoff = parseDoubleArg(key, value);
-        else if (key == "policy")
-            spec.policy = policyFromName(value);
-        else if (key == "escalations")
-            spec.escalation_budget =
-                static_cast<int>(parseIntArg(key, value));
-        else {
-            static const std::vector<std::string> kKeys = {
-                "seed",          "degrade",   "degrade_factor",
-                "blackhole",     "straggler", "straggler_factor",
-                "drop",          "delay",     "delay_us",
-                "window_start_us", "window_us", "retries",
-                "timeout_us",    "backoff",   "policy",
-                "escalations",
-            };
-            std::string keys;
-            for (const std::string &k : kKeys) {
-                if (!keys.empty())
-                    keys += ", ";
-                keys += k;
-            }
-            std::string hint = cli::closestMatch(key, kKeys);
-            if (!hint.empty())
-                fatal("--faults: unknown key '%s' (did you mean "
-                      "'%s'? valid keys: %s)",
-                      key.c_str(), hint.c_str(), keys.c_str());
-            fatal("--faults: unknown key '%s' (valid keys: %s)",
-                  key.c_str(), keys.c_str());
-        }
-    }
-    spec.validate();
-    return spec;
 }
 
 } // namespace ccsim::fault

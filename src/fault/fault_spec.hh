@@ -66,7 +66,7 @@ enum class RecoveryPolicy {
 /** Canonical lower-snake name of a policy ("fail_fast", ...). */
 const char *policyName(RecoveryPolicy p);
 
-/** Inverse of policyName(); fatal() on unknown names. */
+/** Inverse of policyName(); ConfigError on unknown names. */
 RecoveryPolicy policyFromName(const std::string &name);
 
 /** Complete description of one fault-injection scenario. */
@@ -151,21 +151,6 @@ struct FaultSpec
  * root seed, independent of worker count or execution order.
  */
 std::uint64_t mixSeed(std::uint64_t seed, std::uint64_t salt);
-
-/**
- * Parse the CLI's `--faults` argument: comma-separated key=value
- * pairs over short names, e.g.
- *
- *     --faults "straggler=0.05,straggler_factor=3,drop=0.01,seed=7"
- *
- * Keys: seed, degrade, degrade_factor, blackhole, straggler,
- * straggler_factor, drop, delay, delay_us, window_start_us,
- * window_us, retries, timeout_us, backoff, policy (fail_fast |
- * retry_escalate | degrade), escalations.  fatal() on unknown keys
- * or malformed values (listing the valid keys, with a did-you-mean
- * suggestion); the result is validate()d.
- */
-FaultSpec parseFaultSpec(const std::string &text);
 
 } // namespace ccsim::fault
 

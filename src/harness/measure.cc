@@ -1,12 +1,11 @@
 #include "harness/measure.hh"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
+#include <charconv>
 #include <mutex>
 #include <unordered_map>
 
+#include "machine/config_io.hh"
 #include "model/fit.hh"
 #include "tuning/selection_table.hh"
 #include "util/logging.hh"
@@ -70,14 +69,10 @@ memoEligible(const machine::MachineConfig &cfg,
 }
 
 void
-appendF(std::string &key, const char *fmt, ...)
+appendInt(std::string &key, long long v)
 {
-    char buf[64];
-    va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    key += buf;
+    char buf[24];
+    key.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
     key += '|';
 }
 
@@ -87,58 +82,15 @@ memoKey(const machine::MachineConfig &cfg, int p, Coll op, Bytes m,
 {
     std::string key;
     key.reserve(512);
-
-    appendF(key, "v2");
-    appendF(key, "%d", static_cast<int>(cfg.topology));
-    appendF(key, "%d", cfg.switch_radix);
-    appendF(key, "%s", cfg.topo_spec.c_str());
-    appendF(key, "%d", cfg.hierarchy.chips);
-    appendF(key, "%d", cfg.hierarchy.cores);
-    appendF(key, "%.17g", cfg.hierarchy.chip.link_bandwidth_mbs);
-    appendF(key, "%" PRId64, cfg.hierarchy.chip.hop_latency);
-    appendF(key, "%.17g", cfg.hierarchy.node.link_bandwidth_mbs);
-    appendF(key, "%" PRId64, cfg.hierarchy.node.hop_latency);
-
-    const net::NetworkParams &n = cfg.network;
-    appendF(key, "%.17g", n.link_bandwidth_mbs);
-    appendF(key, "%" PRId64, n.hop_latency);
-    appendF(key, "%" PRId64, n.packet_overhead);
-    appendF(key, "%d", n.contention ? 1 : 0);
-
-    const msg::TransportParams &t = cfg.transport;
-    appendF(key, "%" PRId64, t.send_overhead);
-    appendF(key, "%" PRId64, t.recv_overhead);
-    appendF(key, "%.17g", t.copy_bandwidth_mbs);
-    appendF(key, "%" PRId64, t.eager_threshold);
-    appendF(key, "%" PRId64, t.rendezvous_overhead);
-    appendF(key, "%.17g", t.coprocessor_overlap);
-    appendF(key, "%d", t.blt_enabled ? 1 : 0);
-    appendF(key, "%" PRId64, t.blt_threshold);
-    appendF(key, "%" PRId64, t.blt_setup);
-
-    appendF(key, "%d", cfg.hardware_barrier ? 1 : 0);
-    appendF(key, "%" PRId64, cfg.hardware_barrier_latency);
-    appendF(key, "%.17g", cfg.reduce_bandwidth_mbs);
-
-    for (std::size_t i = 0; i < machine::kNumColl; ++i) {
-        appendF(key, "%d", static_cast<int>(cfg.algorithms[i]));
-        const machine::CollCosts &c = cfg.costs[i];
-        appendF(key, "%" PRId64, c.entry);
-        appendF(key, "%" PRId64, c.per_stage);
-        appendF(key, "%.17g", c.per_stage_ns_per_byte);
-        appendF(key, "%.17g", c.reduce_bandwidth_override_mbs);
-        appendF(key, "%" PRId64, c.send_overhead_override);
-        appendF(key, "%" PRId64, c.recv_overhead_override);
-    }
-
-    appendF(key, "%d", p);
-    appendF(key, "%d", static_cast<int>(op));
-    appendF(key, "%" PRId64, m);
-    appendF(key, "%d", static_cast<int>(algo));
-    appendF(key, "%d", opt.iterations);
-    appendF(key, "%d", opt.repetitions);
-    appendF(key, "%d", opt.warmup);
-
+    key += "v3|";
+    machine::appendConfigKey(cfg, key);
+    appendInt(key, p);
+    appendInt(key, static_cast<int>(op));
+    appendInt(key, m);
+    appendInt(key, static_cast<int>(algo));
+    appendInt(key, opt.iterations);
+    appendInt(key, opt.repetitions);
+    appendInt(key, opt.warmup);
     return key;
 }
 

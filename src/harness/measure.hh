@@ -208,7 +208,10 @@ constexpr Bytes kStartupMessageBytes = 4;
  * canonicalization of DESIGN.md §4.11, public so other result caches
  * (the `ccsim serve` query cache) key on exactly the bytes the memo
  * cache does and their hits stay byte-identical with fresh
- * simulation.  Algo::Auto is resolved through cfg.selection before
+ * simulation.  A `v3|` text line: the keyed rows of the MachineConfig
+ * field table as raw stored values (machine::appendConfigKey), then
+ * p, op, m, algo and the procedure's iterations, repetitions and
+ * warm-up, each followed by '|'.  Algo::Auto is resolved through cfg.selection before
  * the key is formed, so an auto query shares its key (and cached
  * result) with the same point under the explicit algorithm.  The
  * config's name is deliberately excluded — two identically

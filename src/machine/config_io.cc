@@ -1,12 +1,16 @@
 #include "machine/config_io.hh"
+#include "machine/config_fields.hh"
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <fstream>
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 #include "util/cli.hh"
 #include "util/logging.hh"
@@ -32,10 +36,6 @@ configFatal(const char *fmt, ...)
     raiseError(ConfigError(msg));
 }
 
-} // namespace
-
-namespace {
-
 std::string
 trim(const std::string &s)
 {
@@ -46,47 +46,6 @@ trim(const std::string &s)
     while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
         --e;
     return s.substr(b, e - b);
-}
-
-double
-parseDouble(const std::string &key, const std::string &value)
-{
-    try {
-        std::size_t pos = 0;
-        double d = std::stod(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument("trailing");
-        return d;
-    } catch (const std::exception &) {
-        configFatal("bad numeric value '%s' for key '%s'",
-              value.c_str(), key.c_str());
-    }
-}
-
-long long
-parseInt(const std::string &key, const std::string &value)
-{
-    try {
-        std::size_t pos = 0;
-        long long v = std::stoll(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument("trailing");
-        return v;
-    } catch (const std::exception &) {
-        configFatal("bad integer value '%s' for key '%s'",
-              value.c_str(), key.c_str());
-    }
-}
-
-bool
-parseBool(const std::string &key, const std::string &value)
-{
-    if (value == "true" || value == "1" || value == "yes")
-        return true;
-    if (value == "false" || value == "0" || value == "no")
-        return false;
-    configFatal("bad boolean value '%s' for key '%s'", value.c_str(),
-          key.c_str());
 }
 
 const std::map<std::string, Coll> &
@@ -107,156 +66,279 @@ collKeys()
     return keys;
 }
 
-/** Apply one top-level setting; fatal on unknown keys. */
-void
-applyGlobal(MachineConfig &cfg, const std::string &key,
-            const std::string &value)
-{
-    if (key == "name")
-        cfg.name = value;
-    else if (key == "topology")
-        cfg.topology = topologyKindByName(value);
-    else if (key == "topology_spec")
-        // Full net::makeTopology grammar; "none" clears an inherited
-        // spec so a derived config can fall back to the kind above.
-        cfg.topo_spec = (value == "none") ? "" : value;
-    else if (key == "switch_radix")
-        cfg.switch_radix = static_cast<int>(parseInt(key, value));
-    else if (key == "link_bandwidth_mbs")
-        cfg.network.link_bandwidth_mbs = parseDouble(key, value);
-    else if (key == "hop_latency_ns")
-        cfg.network.hop_latency = nanoseconds(parseDouble(key, value));
-    else if (key == "packet_overhead")
-        cfg.network.packet_overhead = parseInt(key, value);
-    else if (key == "contention")
-        cfg.network.contention = parseBool(key, value);
-    else if (key == "send_overhead_us")
-        cfg.transport.send_overhead =
-            microseconds(parseDouble(key, value));
-    else if (key == "recv_overhead_us")
-        cfg.transport.recv_overhead =
-            microseconds(parseDouble(key, value));
-    else if (key == "copy_bandwidth_mbs")
-        cfg.transport.copy_bandwidth_mbs = parseDouble(key, value);
-    else if (key == "eager_threshold")
-        cfg.transport.eager_threshold = parseInt(key, value);
-    else if (key == "rendezvous_overhead_us")
-        cfg.transport.rendezvous_overhead =
-            microseconds(parseDouble(key, value));
-    else if (key == "coprocessor_overlap")
-        cfg.transport.coprocessor_overlap = parseDouble(key, value);
-    else if (key == "blt_enabled")
-        cfg.transport.blt_enabled = parseBool(key, value);
-    else if (key == "blt_threshold")
-        cfg.transport.blt_threshold = parseInt(key, value);
-    else if (key == "blt_setup_us")
-        cfg.transport.blt_setup = microseconds(parseDouble(key, value));
-    else if (key == "reduce_bandwidth_mbs")
-        cfg.reduce_bandwidth_mbs = parseDouble(key, value);
-    else if (key == "hardware_barrier")
-        cfg.hardware_barrier = parseBool(key, value);
-    else if (key == "hardware_barrier_latency_us")
-        cfg.hardware_barrier_latency =
-            microseconds(parseDouble(key, value));
-    else
-        configFatal("unknown key '%s'", key.c_str());
-}
+// ---- the field table: one row per persisted MachineConfig field ----
 
-/** Apply one <op>.<field> setting. */
-void
-applyCollective(MachineConfig &cfg, Coll op, const std::string &field,
-                const std::string &key, const std::string &value)
-{
-    CollCosts &costs = cfg.costsFor(op);
-    if (field == "algorithm") {
-        Algo a = algoFromName(value);
-        // "auto" is a per-call request resolved through a selection
-        // table; a machine's configured choice is what Auto falls
-        // back TO, so it must be concrete.
-        if (a == Algo::Auto)
-            configFatal("'%s' cannot be 'auto': the machine default "
-                        "is what auto falls back to", key.c_str());
-        cfg.setAlgorithm(op, a);
+using detail::Block;
+using detail::Field;
+using detail::FieldRef;
+using detail::forEachSlot;
+using detail::Unit;
+
+// The accessor of one row: the reader writes through it, the writers
+// and the memo key read through it.
+#define CCSIM_AT(field)                                               \
+    [](MachineConfig &c, [[maybe_unused]] Coll op) -> FieldRef {      \
+        return &c.field;                                              \
     }
-    else if (field == "entry_us")
-        costs.entry = microseconds(parseDouble(key, value));
-    else if (field == "per_stage_us")
-        costs.per_stage = microseconds(parseDouble(key, value));
-    else if (field == "per_stage_ns_per_byte")
-        costs.per_stage_ns_per_byte = parseDouble(key, value);
-    else if (field == "reduce_bandwidth_override_mbs")
-        costs.reduce_bandwidth_override_mbs = parseDouble(key, value);
-    else if (field == "send_overhead_override_us")
-        costs.send_overhead_override =
-            microseconds(parseDouble(key, value));
-    else if (field == "recv_overhead_override_us")
-        costs.recv_overhead_override =
-            microseconds(parseDouble(key, value));
-    else
-        configFatal("unknown collective field '%s'", key.c_str());
+
+const Field kFields[] = {
+    {Block::Machine, "name", CCSIM_AT(name), Unit::Plain, nullptr, false},
+    {Block::Machine, "topology", CCSIM_AT(topology)},
+    {Block::Machine, "topology_spec", CCSIM_AT(topo_spec), Unit::Plain,
+     nullptr, true,
+     [](const MachineConfig &c, Coll) { return !c.topo_spec.empty(); }},
+    {Block::Machine, "switch_radix", CCSIM_AT(switch_radix)},
+    {Block::Machine, "link_bandwidth_mbs",
+     CCSIM_AT(network.link_bandwidth_mbs)},
+    {Block::Machine, "hop_latency_ns", CCSIM_AT(network.hop_latency),
+     Unit::Ns},
+    {Block::Machine, "packet_overhead", CCSIM_AT(network.packet_overhead)},
+    {Block::Machine, "contention", CCSIM_AT(network.contention)},
+    {Block::Machine, "send_overhead_us",
+     CCSIM_AT(transport.send_overhead), Unit::Us},
+    {Block::Machine, "recv_overhead_us",
+     CCSIM_AT(transport.recv_overhead), Unit::Us},
+    {Block::Machine, "copy_bandwidth_mbs",
+     CCSIM_AT(transport.copy_bandwidth_mbs)},
+    {Block::Machine, "eager_threshold",
+     CCSIM_AT(transport.eager_threshold)},
+    {Block::Machine, "rendezvous_overhead_us",
+     CCSIM_AT(transport.rendezvous_overhead), Unit::Us},
+    {Block::Machine, "coprocessor_overlap",
+     CCSIM_AT(transport.coprocessor_overlap)},
+    {Block::Machine, "blt_enabled", CCSIM_AT(transport.blt_enabled)},
+    {Block::Machine, "blt_threshold", CCSIM_AT(transport.blt_threshold)},
+    {Block::Machine, "blt_setup_us", CCSIM_AT(transport.blt_setup),
+     Unit::Us},
+    {Block::Machine, "reduce_bandwidth_mbs",
+     CCSIM_AT(reduce_bandwidth_mbs)},
+    {Block::Machine, "hardware_barrier", CCSIM_AT(hardware_barrier)},
+    {Block::Machine, "hardware_barrier_latency_us",
+     CCSIM_AT(hardware_barrier_latency), Unit::Us},
+
+    {Block::Hierarchy, "chips", CCSIM_AT(hierarchy.chips)},
+    {Block::Hierarchy, "cores", CCSIM_AT(hierarchy.cores)},
+    {Block::Hierarchy, "chip_bandwidth_mbs",
+     CCSIM_AT(hierarchy.chip.link_bandwidth_mbs)},
+    {Block::Hierarchy, "chip_latency_ns",
+     CCSIM_AT(hierarchy.chip.hop_latency), Unit::Ns},
+    {Block::Hierarchy, "node_bandwidth_mbs",
+     CCSIM_AT(hierarchy.node.link_bandwidth_mbs)},
+    {Block::Hierarchy, "node_latency_ns",
+     CCSIM_AT(hierarchy.node.hop_latency), Unit::Ns},
+
+    // Faulty points are never memoized, so no fault row is keyed.
+    {Block::Fault, "seed", CCSIM_AT(fault.seed), Unit::Plain, "seed",
+     false},
+    {Block::Fault, "link_degrade_rate", CCSIM_AT(fault.link_degrade_rate),
+     Unit::Plain, "degrade", false},
+    {Block::Fault, "link_degrade_factor",
+     CCSIM_AT(fault.link_degrade_factor), Unit::Plain, "degrade_factor",
+     false},
+    {Block::Fault, "link_blackhole_rate",
+     CCSIM_AT(fault.link_blackhole_rate), Unit::Plain, "blackhole",
+     false},
+    {Block::Fault, "window_start_us", CCSIM_AT(fault.window_start),
+     Unit::Us, "window_start_us", false},
+    {Block::Fault, "window_duration_us", CCSIM_AT(fault.window_duration),
+     Unit::Us, "window_us", false},
+    {Block::Fault, "straggler_rate", CCSIM_AT(fault.straggler_rate),
+     Unit::Plain, "straggler", false},
+    {Block::Fault, "straggler_factor", CCSIM_AT(fault.straggler_factor),
+     Unit::Plain, "straggler_factor", false},
+    {Block::Fault, "msg_drop_rate", CCSIM_AT(fault.msg_drop_rate),
+     Unit::Plain, "drop", false},
+    {Block::Fault, "msg_delay_rate", CCSIM_AT(fault.msg_delay_rate),
+     Unit::Plain, "delay", false},
+    {Block::Fault, "msg_delay_us", CCSIM_AT(fault.msg_delay), Unit::Us,
+     "delay_us", false},
+    {Block::Fault, "retry_budget", CCSIM_AT(fault.retry_budget),
+     Unit::Plain, "retries", false},
+    {Block::Fault, "retry_timeout_us", CCSIM_AT(fault.retry_timeout),
+     Unit::Us, "timeout_us", false},
+    {Block::Fault, "retry_backoff", CCSIM_AT(fault.retry_backoff),
+     Unit::Plain, "backoff", false},
+    {Block::Fault, "policy", CCSIM_AT(fault.policy), Unit::Plain,
+     "policy", false},
+    {Block::Fault, "escalation_budget", CCSIM_AT(fault.escalation_budget),
+     Unit::Plain, "escalations", false},
+
+    {Block::PerOp, "algorithm",
+     CCSIM_AT(algorithms[static_cast<std::size_t>(op)])},
+    {Block::PerOp, "entry_us", CCSIM_AT(costsFor(op).entry), Unit::Us},
+    {Block::PerOp, "per_stage_us", CCSIM_AT(costsFor(op).per_stage),
+     Unit::Us},
+    {Block::PerOp, "per_stage_ns_per_byte",
+     CCSIM_AT(costsFor(op).per_stage_ns_per_byte)},
+    {Block::PerOp, "reduce_bandwidth_override_mbs",
+     CCSIM_AT(costsFor(op).reduce_bandwidth_override_mbs), Unit::Plain,
+     nullptr, true,
+     [](const MachineConfig &c, Coll op) {
+         return c.costsFor(op).reduce_bandwidth_override_mbs > 0; }},
+    {Block::PerOp, "send_overhead_override_us",
+     CCSIM_AT(costsFor(op).send_overhead_override), Unit::Us, nullptr,
+     true,
+     [](const MachineConfig &c, Coll op) {
+         return c.costsFor(op).send_overhead_override >= 0; }},
+    {Block::PerOp, "recv_overhead_override_us",
+     CCSIM_AT(costsFor(op).recv_overhead_override), Unit::Us, nullptr,
+     true,
+     [](const MachineConfig &c, Coll op) {
+         return c.costsFor(op).recv_overhead_override >= 0; }},
+};
+
+#undef CCSIM_AT
+
+/** Read-only view of a row's field (the writers and the memo key). */
+FieldRef
+fieldOf(const Field &f, const MachineConfig &cfg, Coll op)
+{
+    return f.at(const_cast<MachineConfig &>(cfg), op);
 }
 
-/** Apply one fault.<field> setting. */
-void
-applyFault(MachineConfig &cfg, const std::string &field,
-           const std::string &key, const std::string &value)
+/** Which text grammar a value arrived through (picks error wording). */
+enum class Grammar
 {
-    fault::FaultSpec &f = cfg.fault;
-    if (field == "seed")
-        f.seed = static_cast<std::uint64_t>(parseInt(key, value));
-    else if (field == "link_degrade_rate")
-        f.link_degrade_rate = parseDouble(key, value);
-    else if (field == "link_degrade_factor")
-        f.link_degrade_factor = parseDouble(key, value);
-    else if (field == "link_blackhole_rate")
-        f.link_blackhole_rate = parseDouble(key, value);
-    else if (field == "window_start_us")
-        f.window_start = microseconds(parseDouble(key, value));
-    else if (field == "window_duration_us")
-        f.window_duration = microseconds(parseDouble(key, value));
-    else if (field == "straggler_rate")
-        f.straggler_rate = parseDouble(key, value);
-    else if (field == "straggler_factor")
-        f.straggler_factor = parseDouble(key, value);
-    else if (field == "msg_drop_rate")
-        f.msg_drop_rate = parseDouble(key, value);
-    else if (field == "msg_delay_rate")
-        f.msg_delay_rate = parseDouble(key, value);
-    else if (field == "msg_delay_us")
-        f.msg_delay = microseconds(parseDouble(key, value));
-    else if (field == "retry_budget")
-        f.retry_budget = static_cast<int>(parseInt(key, value));
-    else if (field == "retry_timeout_us")
-        f.retry_timeout = microseconds(parseDouble(key, value));
-    else if (field == "retry_backoff")
-        f.retry_backoff = parseDouble(key, value);
-    else
-        configFatal("unknown fault field '%s'", key.c_str());
+    File,   //!< loadConfig(): `key = value` lines
+    Faults, //!< parseFaultSpec(): the `--faults` list
+};
+
+[[noreturn]] void
+badValue(Grammar g, const char *what, const std::string &key,
+         const std::string &value)
+{
+    if (g == Grammar::Faults)
+        configFatal("--faults: bad %s value '%s' for '%s'", what,
+                    value.c_str(), key.c_str());
+    configFatal("bad %s value '%s' for key '%s'", what, value.c_str(),
+                key.c_str());
 }
 
-/** Apply one hierarchy.<field> setting (multi-core node model). */
-void
-applyHierarchy(MachineConfig &cfg, const std::string &field,
-               const std::string &key, const std::string &value)
+/** std::stod / std::stoll over the whole of @p value. */
+template <class T>
+T
+parseNumber(Grammar g, const std::string &key, const std::string &value)
 {
-    HierarchySpec &h = cfg.hierarchy;
-    if (field == "chips")
-        h.chips = static_cast<int>(parseInt(key, value));
-    else if (field == "cores")
-        h.cores = static_cast<int>(parseInt(key, value));
-    else if (field == "chip_bandwidth_mbs")
-        h.chip.link_bandwidth_mbs = parseDouble(key, value);
-    else if (field == "chip_latency_ns")
-        h.chip.hop_latency = nanoseconds(parseDouble(key, value));
-    else if (field == "node_bandwidth_mbs")
-        h.node.link_bandwidth_mbs = parseDouble(key, value);
-    else if (field == "node_latency_ns")
-        h.node.hop_latency = nanoseconds(parseDouble(key, value));
-    else
-        configFatal("unknown hierarchy field '%s'", key.c_str());
+    constexpr bool kReal = std::is_floating_point_v<T>;
+    try {
+        std::size_t pos = 0;
+        T v = 0;
+        if constexpr (kReal)
+            v = std::stod(value, &pos);
+        else
+            v = std::stoll(value, &pos); // no detour through double
+        if (pos == value.size())
+            return v;
+    } catch (const std::exception &) {
+    }
+    badValue(g, kReal ? "numeric" : "integer", key, value);
+}
+
+/** Parse @p value into row @p f's field of @p cfg.  @p key is the
+ *  spelling the user wrote, for error messages. */
+void
+setField(const Field &f, MachineConfig &cfg, Coll op,
+         const std::string &key, const std::string &value, Grammar g)
+{
+    std::visit(
+        [&](auto *field) {
+            using T = std::remove_pointer_t<decltype(field)>;
+            if constexpr (std::is_same_v<T, std::string>) {
+                // "none" clears an inherited topology spec so a
+                // derived config can fall back to the kind-based one.
+                *field = (field == &cfg.topo_spec && value == "none")
+                             ? ""
+                             : value;
+            } else if constexpr (std::is_same_v<T, bool>) {
+                if (value == "true" || value == "1" || value == "yes")
+                    *field = true;
+                else if (value == "false" || value == "0" ||
+                         value == "no")
+                    *field = false;
+                else
+                    badValue(g, "boolean", key, value);
+            } else if constexpr (std::is_same_v<T, double>) {
+                *field = parseNumber<double>(g, key, value);
+            } else if constexpr (std::is_integral_v<T>) {
+                if (f.unit == Unit::Us)
+                    *field = static_cast<T>(
+                        microseconds(parseNumber<double>(g, key, value)));
+                else if (f.unit == Unit::Ns)
+                    *field = static_cast<T>(
+                        nanoseconds(parseNumber<double>(g, key, value)));
+                else
+                    *field = static_cast<T>(
+                        parseNumber<long long>(g, key, value));
+            } else if constexpr (std::is_same_v<T, TopologyKind>) {
+                *field = topologyKindByName(value);
+            } else if constexpr (std::is_same_v<T, Algo>) {
+                Algo a = algoFromName(value);
+                // "auto" is a per-call request resolved through a
+                // selection table; a machine's configured choice is
+                // what Auto falls back TO, so it must be concrete.
+                if (a == Algo::Auto)
+                    configFatal("'%s' cannot be 'auto': the machine "
+                                "default is what auto falls back to",
+                                key.c_str());
+                *field = a;
+            } else {
+                static_assert(
+                    std::is_same_v<T, fault::RecoveryPolicy>);
+                *field = fault::policyFromName(value);
+            }
+        },
+        f.at(cfg, op));
+}
+
+/** Write row @p f's value the way setField() reads it back. */
+void
+writeValue(std::ostream &os, const Field &f, const MachineConfig &cfg,
+           Coll op)
+{
+    std::visit(
+        [&](const auto *field) {
+            using T = std::remove_cv_t<
+                std::remove_pointer_t<decltype(field)>>;
+            if constexpr (std::is_same_v<T, bool>)
+                os << (*field ? "true" : "false");
+            else if constexpr (std::is_integral_v<T>) {
+                if (f.unit == Unit::Us)
+                    os << toMicros(*field);
+                else if (f.unit == Unit::Ns)
+                    os << toNanos(*field);
+                else
+                    os << *field;
+            } else if constexpr (std::is_same_v<T, TopologyKind>)
+                os << topologyKindName(*field);
+            else if constexpr (std::is_same_v<T, Algo>)
+                os << algoName(*field);
+            else if constexpr (std::is_same_v<T, fault::RecoveryPolicy>)
+                os << fault::policyName(*field);
+            else
+                os << *field; // string, double
+        },
+        fieldOf(f, cfg, op));
+}
+
+/** Key prefix of each Block but PerOp, whose prefix is its op. */
+const char *const kScopes[] = {"", "hierarchy.", "fault."};
+
+/** The full key of row @p f for collective @p op ("bcast.entry_us"). */
+std::string
+fullKey(const Field &f, Coll op)
+{
+    if (f.block == Block::PerOp)
+        return collKey(op) + "." + f.key;
+    return kScopes[static_cast<int>(f.block)] + std::string(f.key);
 }
 
 } // namespace
+
+std::span<const detail::Field>
+detail::configFields()
+{
+    return kFields;
+}
 
 std::string
 collKey(Coll op)
@@ -333,102 +415,24 @@ saveConfig(const MachineConfig &cfg, std::ostream &os)
 {
     os.precision(12); // lossless round trip for all calibrations
     os << "# ccsim machine configuration\n";
-    os << "name = " << cfg.name << "\n";
-    os << "topology = " << topologyKindName(cfg.topology) << "\n";
-    if (!cfg.topo_spec.empty())
-        os << "topology_spec = " << cfg.topo_spec << "\n";
-    os << "switch_radix = " << cfg.switch_radix << "\n";
-    os << "link_bandwidth_mbs = " << cfg.network.link_bandwidth_mbs
-       << "\n";
-    os << "hop_latency_ns = " << toNanos(cfg.network.hop_latency)
-       << "\n";
-    os << "packet_overhead = " << cfg.network.packet_overhead << "\n";
-    os << "contention = " << (cfg.network.contention ? "true" : "false")
-       << "\n";
-    os << "send_overhead_us = " << toMicros(cfg.transport.send_overhead)
-       << "\n";
-    os << "recv_overhead_us = " << toMicros(cfg.transport.recv_overhead)
-       << "\n";
-    os << "copy_bandwidth_mbs = " << cfg.transport.copy_bandwidth_mbs
-       << "\n";
-    os << "eager_threshold = " << cfg.transport.eager_threshold << "\n";
-    os << "rendezvous_overhead_us = "
-       << toMicros(cfg.transport.rendezvous_overhead) << "\n";
-    os << "coprocessor_overlap = " << cfg.transport.coprocessor_overlap
-       << "\n";
-    os << "blt_enabled = "
-       << (cfg.transport.blt_enabled ? "true" : "false") << "\n";
-    os << "blt_threshold = " << cfg.transport.blt_threshold << "\n";
-    os << "blt_setup_us = " << toMicros(cfg.transport.blt_setup)
-       << "\n";
-    os << "reduce_bandwidth_mbs = " << cfg.reduce_bandwidth_mbs << "\n";
-    os << "hardware_barrier = "
-       << (cfg.hardware_barrier ? "true" : "false") << "\n";
-    os << "hardware_barrier_latency_us = "
-       << toMicros(cfg.hardware_barrier_latency) << "\n";
-
-    // Hierarchy block only when enabled, so flat configs round-trip
-    // byte-identically to their pre-hierarchy form.
-    if (cfg.hierarchy.enabled()) {
-        const HierarchySpec &h = cfg.hierarchy;
-        os << "\nhierarchy.chips = " << h.chips << "\n";
-        os << "hierarchy.cores = " << h.cores << "\n";
-        os << "hierarchy.chip_bandwidth_mbs = "
-           << h.chip.link_bandwidth_mbs << "\n";
-        os << "hierarchy.chip_latency_ns = "
-           << toNanos(h.chip.hop_latency) << "\n";
-        os << "hierarchy.node_bandwidth_mbs = "
-           << h.node.link_bandwidth_mbs << "\n";
-        os << "hierarchy.node_latency_ns = "
-           << toNanos(h.node.hop_latency) << "\n";
-    }
-
-    // Fault block only when active, so pristine configs round-trip
-    // byte-identically to their pre-fault-layer form.
-    if (cfg.fault.enabled()) {
-        const fault::FaultSpec &f = cfg.fault;
-        os << "\nfault.seed = " << f.seed << "\n";
-        os << "fault.link_degrade_rate = " << f.link_degrade_rate
-           << "\n";
-        os << "fault.link_degrade_factor = " << f.link_degrade_factor
-           << "\n";
-        os << "fault.link_blackhole_rate = " << f.link_blackhole_rate
-           << "\n";
-        os << "fault.window_start_us = " << toMicros(f.window_start)
-           << "\n";
-        os << "fault.window_duration_us = "
-           << toMicros(f.window_duration) << "\n";
-        os << "fault.straggler_rate = " << f.straggler_rate << "\n";
-        os << "fault.straggler_factor = " << f.straggler_factor
-           << "\n";
-        os << "fault.msg_drop_rate = " << f.msg_drop_rate << "\n";
-        os << "fault.msg_delay_rate = " << f.msg_delay_rate << "\n";
-        os << "fault.msg_delay_us = " << toMicros(f.msg_delay) << "\n";
-        os << "fault.retry_budget = " << f.retry_budget << "\n";
-        os << "fault.retry_timeout_us = " << toMicros(f.retry_timeout)
-           << "\n";
-        os << "fault.retry_backoff = " << f.retry_backoff << "\n";
-    }
-
-    for (Coll op : kAllColls) {
-        const CollCosts &c = cfg.costsFor(op);
-        std::string k = collKey(op);
-        os << "\n" << k << ".algorithm = "
-           << algoName(cfg.algorithmFor(op)) << "\n";
-        os << k << ".entry_us = " << toMicros(c.entry) << "\n";
-        os << k << ".per_stage_us = " << toMicros(c.per_stage) << "\n";
-        os << k << ".per_stage_ns_per_byte = "
-           << c.per_stage_ns_per_byte << "\n";
-        if (c.reduce_bandwidth_override_mbs > 0)
-            os << k << ".reduce_bandwidth_override_mbs = "
-               << c.reduce_bandwidth_override_mbs << "\n";
-        if (c.send_overhead_override >= 0)
-            os << k << ".send_overhead_override_us = "
-               << toMicros(c.send_overhead_override) << "\n";
-        if (c.recv_overhead_override >= 0)
-            os << k << ".recv_overhead_override_us = "
-               << toMicros(c.recv_overhead_override) << "\n";
-    }
+    // A blank line opens every block after the first.  The hierarchy
+    // and fault blocks appear only when enabled, so flat pristine
+    // configs round-trip byte-identically to their older form.
+    const Field *group = nullptr;
+    Coll group_op = Coll::Barrier;
+    forEachSlot([&](const Field &f, Coll op) {
+        if ((f.block == Block::Hierarchy && !cfg.hierarchy.enabled()) ||
+            (f.block == Block::Fault && !cfg.fault.enabled()) ||
+            (f.written && !f.written(cfg, op)))
+            return;
+        if (group && (group->block != f.block || group_op != op))
+            os << "\n";
+        group = &f;
+        group_op = op;
+        os << fullKey(f, op) << " = ";
+        writeValue(os, f, cfg, op);
+        os << "\n";
+    });
 }
 
 void
@@ -480,26 +484,36 @@ loadConfig(std::istream &is)
         }
         first_setting = false;
 
+        Block block = Block::Machine;
+        Coll op = Coll::Barrier;
         auto dot = key.find('.');
-        if (dot == std::string::npos) {
-            applyGlobal(cfg, key, value);
-        } else {
-            std::string op_key = key.substr(0, dot);
-            std::string field = key.substr(dot + 1);
-            if (op_key == "fault") {
-                applyFault(cfg, field, key, value);
-                continue;
+        if (dot != std::string::npos) {
+            std::string scope = key.substr(0, dot);
+            if (scope == "hierarchy") {
+                block = Block::Hierarchy;
+            } else if (scope == "fault") {
+                block = Block::Fault;
+            } else {
+                auto it = collKeys().find(scope);
+                if (it == collKeys().end())
+                    configFatal("config line %d: unknown collective "
+                                "'%s'", lineno, scope.c_str());
+                block = Block::PerOp;
+                op = it->second;
             }
-            if (op_key == "hierarchy") {
-                applyHierarchy(cfg, field, key, value);
-                continue;
-            }
-            auto it = collKeys().find(op_key);
-            if (it == collKeys().end())
-                configFatal("config line %d: unknown collective '%s'",
-                      lineno, op_key.c_str());
-            applyCollective(cfg, it->second, field, key, value);
         }
+        const Field *f = nullptr;
+        for (const Field &row : kFields)
+            if (row.block == block && fullKey(row, op) == key)
+                f = &row;
+        if (!f) {
+            static const char *const kWhat[] = {
+                "key", "hierarchy field", "fault field",
+                "collective field"};
+            configFatal("unknown %s '%s'",
+                        kWhat[static_cast<int>(block)], key.c_str());
+        }
+        setField(*f, cfg, op, key, value, Grammar::File);
     }
     cfg.validate();
     return cfg;
@@ -512,6 +526,36 @@ loadConfigFile(const std::string &path)
     if (!in)
         configFatal("cannot read '%s'", path.c_str());
     return loadConfig(in);
+}
+
+void
+appendConfigKey(const MachineConfig &cfg, std::string &key)
+{
+    forEachSlot([&](const Field &f, Coll op) {
+        if (!f.in_memo_key)
+            return;
+        std::visit(
+            [&](const auto *field) {
+                using T = std::remove_cv_t<
+                    std::remove_pointer_t<decltype(field)>>;
+                // Raw stored values: picosecond integers, ordinals,
+                // and shortest round-trip doubles, so distinct values
+                // never share a spelling.
+                char buf[32];
+                char *end = buf;
+                if constexpr (std::is_same_v<T, std::string>)
+                    key += *field;
+                else if constexpr (std::is_arithmetic_v<T> &&
+                                   !std::is_same_v<T, bool>)
+                    end = std::to_chars(buf, buf + 32, *field).ptr;
+                else // bool and enums: their ordinal
+                    end = std::to_chars(buf, buf + 32,
+                                        static_cast<int>(*field)).ptr;
+                key.append(buf, end);
+            },
+            fieldOf(f, cfg, op));
+        key += '|';
+    });
 }
 
 namespace {
@@ -577,3 +621,55 @@ sharedConfigFile(const std::string &path)
 }
 
 } // namespace ccsim::machine
+
+namespace ccsim::fault {
+
+FaultSpec
+parseFaultSpec(const std::string &text)
+{
+    using machine::Grammar;
+    machine::MachineConfig cfg; // only its fault block is read back
+    std::size_t pos = 0;
+    while (pos < text.size()) {
+        std::size_t comma = text.find(',', pos);
+        if (comma == std::string::npos)
+            comma = text.size();
+        std::string item = text.substr(pos, comma - pos);
+        pos = comma + 1;
+        if (item.empty())
+            continue;
+        std::size_t eq = item.find('=');
+        if (eq == std::string::npos)
+            machine::configFatal("--faults: expected key=value, got "
+                                 "'%s'", item.c_str());
+        std::string key = item.substr(0, eq);
+        std::string value = item.substr(eq + 1);
+
+        const machine::Field *row = nullptr;
+        std::vector<std::string> aliases;
+        for (const machine::Field &f : machine::kFields) {
+            if (!f.alias)
+                continue;
+            aliases.push_back(f.alias);
+            if (key == f.alias)
+                row = &f;
+        }
+        if (!row) {
+            std::string keys;
+            for (const std::string &k : aliases)
+                keys += (keys.empty() ? "" : ", ") + k;
+            std::string hint = cli::closestMatch(key, aliases);
+            if (!hint.empty())
+                hint = "did you mean '" + hint + "'? ";
+            machine::configFatal("--faults: unknown key '%s' (%svalid "
+                                 "keys: %s)",
+                                 key.c_str(), hint.c_str(), keys.c_str());
+        }
+        machine::setField(*row, cfg, machine::Coll::Barrier, key, value,
+                          Grammar::Faults);
+    }
+    cfg.fault.validate();
+    return cfg.fault;
+}
+
+} // namespace ccsim::fault

@@ -24,9 +24,17 @@
  * overrides the preset's topology kind; `hierarchy.*` keys set the
  * multi-core node shape and the per-class link parameters.
  *
- * saveConfig() emits a complete round-trippable file; loadConfig()
- * is strict — unknown keys, malformed values, or out-of-range
- * settings raise ConfigError.
+ * `fault.*` keys set the fault::FaultSpec (docs/FAULTS.md): seed,
+ * link_degrade_rate, link_degrade_factor, link_blackhole_rate,
+ * window_start_us, window_duration_us, straggler_rate,
+ * straggler_factor, msg_drop_rate, msg_delay_rate, msg_delay_us,
+ * retry_budget, retry_timeout_us, retry_backoff, policy and
+ * escalation_budget.  `--faults` spells them with short aliases.
+ *
+ * One field table in config_io.cc drives the reader, the writer, the
+ * `--faults` grammar and the memo key.  saveConfig() emits a complete
+ * round-trippable file; loadConfig() is strict — unknown keys,
+ * malformed values, or out-of-range settings raise ConfigError.
  */
 
 #ifndef CCSIM_MACHINE_CONFIG_IO_HH
@@ -80,6 +88,12 @@ ConfigHandle sharedPreset(const std::string &name);
  *  Thread-safe; ConfigError if unreadable or malformed. */
 ConfigHandle sharedConfigFile(const std::string &path);
 
+/** The config half of harness::measurePointKey(): append every field
+ *  but the name and the fault block to @p key as raw stored values
+ *  (picoseconds, enum ordinals, shortest round-trip doubles), each
+ *  followed by '|'. */
+void appendConfigKey(const MachineConfig &cfg, std::string &key);
+
 /** Key-name slug of a collective ("alltoall", "reduce_scatter"...). */
 std::string collKey(Coll op);
 
@@ -97,5 +111,18 @@ Algo algoFromName(const std::string &name);
 TopologyKind topologyKindByName(const std::string &name);
 
 } // namespace ccsim::machine
+
+namespace ccsim::fault {
+
+/**
+ * Parse the CLI's `--faults` argument, comma-separated key=value
+ * pairs over the field table's short aliases, e.g.
+ * `straggler=0.05,drop=0.01,seed=7,policy=degrade` (docs/FAULTS.md).
+ * Unknown keys and malformed values raise ConfigError with the valid
+ * keys and a did-you-mean hint; the result is validate()d.
+ */
+FaultSpec parseFaultSpec(const std::string &text);
+
+} // namespace ccsim::fault
 
 #endif // CCSIM_MACHINE_CONFIG_IO_HH

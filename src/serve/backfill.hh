@@ -4,13 +4,14 @@
  * cache misses, batched onto the existing harness::SweepRunner worker
  * pool.
  *
- * Connection threads submit() fully-resolved points and get a ticket.
- * A single collector thread gathers whatever is pending, runs the
- * batch through SweepRunner::runTasks (so `--jobs K` bounds simulation
- * parallelism exactly like `ccsim sweep --jobs K` does, independent of
- * how many clients are connected), stores each result in the shared
- * QueryCache, and publishes per-ticket outcomes.  Clients either
- * wait() (blocking delivery) or poll() later (ticket delivery).
+ * Connection threads trySubmit() fully-resolved points and get a
+ * ticket.  A single collector thread gathers whatever is pending,
+ * runs the batch through SweepRunner::runTasks (so `--jobs K` bounds
+ * simulation parallelism exactly like `ccsim sweep --jobs K` does,
+ * independent of how many clients are connected), stores each result
+ * in the shared QueryCache, and publishes per-ticket outcomes.
+ * Clients either wait() (blocking delivery) or poll() later (ticket
+ * delivery).
  *
  * Submissions of a key already pending or in flight coalesce onto the
  * existing job — ten clients asking for the same uncached point cost
@@ -100,19 +101,14 @@ class BackfillQueue
     BackfillQueue &operator=(const BackfillQueue &) = delete;
 
     /**
-     * Enqueue @p job and return its ticket.  Jobs with a key already
+     * Enqueue @p job and set @p ticket.  Jobs with a key already
      * pending or in flight coalesce (one simulation, many tickets).
-     * FatalError("serve") after stop() — the daemon is draining.
-     */
-    std::uint64_t submit(const BackfillJob &job);
-
-    /**
-     * Bounded submit: like submit(), but when the queue is draining
-     * or already holds maxPending() uncollected jobs AND @p job's key
-     * is not already live (a coalescing submission never grows the
-     * queue), refuse — return false, bump the shed counter, and leave
-     * @p ticket untouched.  The server's load-shedding entry point:
-     * a false return means "answer from the fast path, flag shed".
+     * When the queue is draining or already holds maxPending()
+     * uncollected jobs AND @p job's key is not already live (a
+     * coalescing submission never grows the queue), refuse — return
+     * false, bump the shed counter, and leave @p ticket untouched.
+     * The server's load-shedding entry point: a false return means
+     * "answer from the fast path, flag shed".
      */
     bool trySubmit(const BackfillJob &job, std::uint64_t &ticket);
 
@@ -149,9 +145,8 @@ class BackfillQueue
     /** Points waiting for the collector (not yet simulating). */
     std::size_t queueDepth() const;
 
-    /** Cap the uncollected-job count (0 = unbounded).  Affects
-     *  trySubmit() and prefetch() only; submit() is the unbounded
-     *  legacy path. */
+    /** Cap the uncollected-job count (0 = unbounded, the default)
+     *  that trySubmit() and prefetch() accept. */
     void setMaxPending(std::size_t max);
 
     std::size_t maxPending() const;

@@ -172,6 +172,9 @@ Server::handlePredict(const Request &req)
     if (cacheable) {
         harness::Measurement meas;
         if (cache_.lookup(key, meas)) {
+            // The key leaves out the display name, so the stored
+            // answer may come from an identically built machine.
+            meas.machine = cfg->name;
             {
                 std::lock_guard<std::mutex> lock(metrics_mu_);
                 ++tier_cache_;
@@ -252,6 +255,7 @@ Server::handlePredict(const Request &req)
     BackfillResult r = *got;
     if (r.failed)
         throw Error(r.component, r.message, r.exit_code);
+    r.meas.machine = cfg->name; // the job may have coalesced onto a twin
     {
         std::lock_guard<std::mutex> lock(metrics_mu_);
         ++tier_exact_;

@@ -1,9 +1,14 @@
 /** @file Tests for MachineConfig serialization. */
 
+#include <cmath>
+#include <set>
 #include <sstream>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
+#include "harness/measure.hh"
+#include "machine/config_fields.hh"
 #include "machine/config_io.hh"
 #include "util/logging.hh"
 
@@ -145,6 +150,172 @@ TEST(ConfigIo, MissingFileFatal)
     EXPECT_THROW(loadConfigFile("/nonexistent/nowhere.cfg"),
                  FatalError);
     throwOnError(false);
+}
+
+// ---- the field table -----------------------------------------------
+
+using detail::Block;
+using detail::Field;
+using detail::forEachSlot;
+
+/** A config that saveConfig() writes in full: both optional blocks
+ *  enabled, a topology spec, every per-op override set. */
+MachineConfig
+everyRowWritten()
+{
+    MachineConfig cfg = sp2Config();
+    cfg.topo_spec = "fattree:2;4,4;1,2";
+    cfg.hierarchy.chips = 2;
+    cfg.fault.straggler_rate = 0.125;
+    for (Coll op : kAllColls) {
+        CollCosts &c = cfg.costsFor(op);
+        c.reduce_bandwidth_override_mbs = 50;
+        c.send_overhead_override = microseconds(1);
+        c.recv_overhead_override = microseconds(2);
+    }
+    return cfg;
+}
+
+/** Give row @p f's field a different value that still validates. */
+void
+perturb(const Field &f, MachineConfig &cfg, Coll op)
+{
+    std::visit(
+        [&](auto *v) {
+            using T = std::remove_pointer_t<decltype(v)>;
+            if constexpr (std::is_same_v<T, std::string>)
+                *v = v == &cfg.topo_spec ? "torus3d:8x4x4" : *v + "x";
+            else if constexpr (std::is_same_v<T, bool>)
+                *v = !*v;
+            else if constexpr (std::is_same_v<T, double>)
+                *v = *v < 0.5 ? *v + 0.25 : *v * 0.75;
+            else if constexpr (std::is_integral_v<T>)
+                *v += f.unit == detail::Unit::Us   ? microseconds(1)
+                      : f.unit == detail::Unit::Ns ? nanoseconds(1)
+                                                   : 1;
+            else if constexpr (std::is_same_v<T, TopologyKind>)
+                *v = *v == TopologyKind::Mesh2D ? TopologyKind::Torus3D
+                                                : TopologyKind::Mesh2D;
+            else if constexpr (std::is_same_v<T, Algo>)
+                *v = *v == Algo::Linear ? Algo::Binomial : Algo::Linear;
+            else
+                *v = *v == fault::RecoveryPolicy::Degrade
+                         ? fault::RecoveryPolicy::FailFast
+                         : fault::RecoveryPolicy::Degrade;
+        },
+        f.at(cfg, op));
+}
+
+/** Row @p f holds the same value in @p a and @p b (doubles to the
+ *  12 significant digits saveConfig writes). */
+bool
+sameValue(const Field &f, Coll op, MachineConfig &a, MachineConfig &b)
+{
+    return std::visit(
+        [](auto *x, auto *y) {
+            using T = std::remove_pointer_t<decltype(x)>;
+            if constexpr (!std::is_same_v<
+                              T, std::remove_pointer_t<decltype(y)>>)
+                return false;
+            else if constexpr (std::is_same_v<T, double>)
+                return std::abs(*x - *y) <=
+                       1e-11 * std::max(1.0, std::abs(*x));
+            else
+                return *x == *y;
+        },
+        f.at(a, op), f.at(b, op));
+}
+
+std::string
+slotName(const Field &f, Coll op)
+{
+    return f.block == Block::PerOp ? collKey(op) + "." + f.key
+                                   : std::string(f.key);
+}
+
+TEST(ConfigFields, EveryRowSurvivesSaveAndLoad)
+{
+    // No two rows reach the same field.
+    MachineConfig probe;
+    std::set<const void *> fields;
+    forEachSlot([&](const Field &f, Coll op) {
+        const void *at = std::visit(
+            [](auto *v) -> const void * { return v; }, f.at(probe, op));
+        EXPECT_TRUE(fields.insert(at).second) << slotName(f, op);
+    });
+
+    forEachSlot([](const Field &f, Coll op) {
+        MachineConfig want = everyRowWritten();
+        perturb(f, want, op);
+        std::stringstream ss;
+        saveConfig(want, ss);
+        MachineConfig back = loadConfig(ss);
+        EXPECT_TRUE(sameValue(f, op, back, want)) << slotName(f, op);
+        // ... and changes nothing else on the way.
+        forEachSlot([&](const Field &g, Coll gop) {
+            EXPECT_TRUE(sameValue(g, gop, back, want))
+                << slotName(g, gop) << " after perturbing "
+                << slotName(f, op);
+        });
+    });
+}
+
+TEST(ConfigFields, ExactlyTheKeyRowsChangeTheMemoKey)
+{
+    const MachineConfig base = everyRowWritten();
+    const std::string base_key = harness::measurePointKey(
+        base, 8, Coll::Bcast, 1024, Algo::Binomial);
+    EXPECT_EQ(base_key.rfind("v3|", 0), 0u) << base_key;
+    forEachSlot([&](const Field &f, Coll op) {
+        // Keyed: everything but the display name and the fault block
+        // (faulty points are never memoized).
+        const bool keyed =
+            f.block != Block::Fault && std::string(f.key) != "name";
+        EXPECT_EQ(f.in_memo_key, keyed) << slotName(f, op);
+        MachineConfig cfg = base;
+        perturb(f, cfg, op);
+        std::string key = harness::measurePointKey(
+            cfg, 8, Coll::Bcast, 1024, Algo::Binomial);
+        EXPECT_EQ(key != base_key, keyed) << slotName(f, op);
+    });
+}
+
+TEST(ConfigFields, EveryFaultsAliasSetsItsConfigField)
+{
+    int aliases = 0;
+    for (const Field &f : detail::configFields()) {
+        if (!f.alias)
+            continue;
+        ++aliases;
+        EXPECT_EQ(f.block, Block::Fault) << f.alias;
+        MachineConfig want;
+        perturb(f, want, Coll::Barrier);
+        std::ostringstream value;
+        value.precision(17);
+        std::visit(
+            [&](auto *v) {
+                using T = std::remove_pointer_t<decltype(v)>;
+                if constexpr (std::is_same_v<T, fault::RecoveryPolicy>)
+                    value << fault::policyName(*v);
+                else if constexpr (std::is_arithmetic_v<T>)
+                    value << (f.unit == detail::Unit::Us
+                                  ? toMicros(static_cast<Time>(*v))
+                                  : *v);
+            },
+            f.at(want, Coll::Barrier));
+        MachineConfig got;
+        got.fault = fault::parseFaultSpec(std::string(f.alias) + "=" +
+                                          value.str());
+        // The alias sets its own field and no other.
+        for (const Field &g : detail::configFields()) {
+            if (g.block == Block::Fault) {
+                EXPECT_TRUE(sameValue(g, Coll::Barrier, got, want))
+                    << g.key << " after --faults " << f.alias << "="
+                    << value.str();
+            }
+        }
+    }
+    EXPECT_EQ(aliases, 16);
 }
 
 } // namespace

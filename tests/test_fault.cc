@@ -70,7 +70,8 @@ TEST_F(FaultSpecTest, ParseFaultSpecReadsShortKeys)
     FaultSpec f = parseFaultSpec(
         "straggler=0.25,straggler_factor=3,degrade=0.1,"
         "degrade_factor=0.4,drop=0.01,retries=7,timeout_us=50,"
-        "backoff=1.5,seed=99");
+        "backoff=1.5,seed=99,blackhole=0.125,delay=0.5,delay_us=30,"
+        "window_start_us=5,window_us=20");
     EXPECT_DOUBLE_EQ(f.straggler_rate, 0.25);
     EXPECT_DOUBLE_EQ(f.straggler_factor, 3.0);
     EXPECT_DOUBLE_EQ(f.link_degrade_rate, 0.1);
@@ -80,14 +81,27 @@ TEST_F(FaultSpecTest, ParseFaultSpecReadsShortKeys)
     EXPECT_EQ(f.retry_timeout, 50 * US);
     EXPECT_DOUBLE_EQ(f.retry_backoff, 1.5);
     EXPECT_EQ(f.seed, 99u);
+    EXPECT_DOUBLE_EQ(f.link_blackhole_rate, 0.125);
+    EXPECT_DOUBLE_EQ(f.msg_delay_rate, 0.5);
+    EXPECT_EQ(f.msg_delay, 30 * US);
+    EXPECT_EQ(f.window_start, 5 * US);
+    EXPECT_EQ(f.window_duration, 20 * US);
     EXPECT_TRUE(f.enabled());
     EXPECT_TRUE(f.lossPossible());
+    // Integers are parsed as integers: 2^53 + 1 has no double.
+    EXPECT_EQ(parseFaultSpec("seed=9007199254740993").seed,
+              9007199254740993u);
 }
 
 TEST_F(FaultSpecTest, ParseFaultSpecRejectsUnknownKey)
 {
-    EXPECT_THROW(parseFaultSpec("gremlins=1"), FatalError);
-    EXPECT_THROW(parseFaultSpec("straggler"), FatalError);
+    // Malformed --faults are config errors (exit 5), like a bad
+    // config file.
+    EXPECT_THROW(parseFaultSpec("gremlins=1"), ConfigError);
+    EXPECT_THROW(parseFaultSpec("straggler"), ConfigError);
+    EXPECT_THROW(parseFaultSpec("drop=lots"), ConfigError);
+    EXPECT_THROW(parseFaultSpec("retries=2.5"), ConfigError);
+    EXPECT_THROW(parseFaultSpec("policy=degarde"), ConfigError);
 }
 
 TEST_F(FaultSpecTest, MixSeedIsDeterministicAndSpreads)
@@ -101,7 +115,8 @@ TEST_F(FaultSpecTest, ConfigRoundTripPreservesFaultBlock)
 {
     machine::MachineConfig cfg = machine::sp2Config();
     cfg.fault = parseFaultSpec(
-        "straggler=0.125,degrade=0.25,delay=0.5,delay_us=30,seed=77");
+        "straggler=0.125,degrade=0.25,delay=0.5,delay_us=30,seed=77,"
+        "policy=degrade,escalations=3");
     std::ostringstream os;
     machine::saveConfig(cfg, os);
     std::istringstream is(os.str());
@@ -111,6 +126,8 @@ TEST_F(FaultSpecTest, ConfigRoundTripPreservesFaultBlock)
     EXPECT_DOUBLE_EQ(back.fault.link_degrade_rate, 0.25);
     EXPECT_DOUBLE_EQ(back.fault.msg_delay_rate, 0.5);
     EXPECT_EQ(back.fault.msg_delay, 30 * US);
+    EXPECT_EQ(back.fault.policy, RecoveryPolicy::Degrade);
+    EXPECT_EQ(back.fault.escalation_budget, 3);
 }
 
 TEST_F(FaultSpecTest, PristineConfigEmitsNoFaultKeys)

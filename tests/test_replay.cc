@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "fault/fault_spec.hh"
+#include "machine/config_io.hh"
 #include "machine/machine.hh"
 #include "machine/machine_config.hh"
 #include "mpi/comm.hh"
