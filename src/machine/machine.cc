@@ -48,9 +48,11 @@ Machine::Machine(ConfigHandle config, int p)
     fabric_ = std::make_unique<msg::Fabric>(
         sim_, *network_, p, config_->transport, &trace_, fault_.get(),
         metrics_ ? &metrics_->transport : nullptr);
-    // Pending-event high water scales with the node count (each rank
-    // keeps a few wire/resume events in flight); pre-size the
-    // calendar so sweeps at large p skip the early growth phase.
+    // Pending events scale with the node count (each rank keeps a few
+    // wire/resume events in flight), so widen the calendar to match:
+    // at large p the same events spread over more, shorter buckets.
+    // This sizes the bucket array only; entry storage follows the
+    // events actually in flight.
     sim_.queue().reserve(static_cast<std::size_t>(p) * 8);
     if (config_->hardware_barrier)
         hw_barrier_ = std::make_unique<HardwareBarrier>(
@@ -134,6 +136,8 @@ Machine::metricsSnapshot()
         static_cast<double>(sim_.queue().maxDepth());
     snap.gauges["sim.roots_held"] =
         static_cast<double>(sim_.rootsHighWater());
+    snap.gauges["sim.queue_capacity"] =
+        static_cast<double>(sim_.queue().capacityHighWater());
 
     // The fault layer's counters, unified into the same snapshot so
     // one report answers "what did this run's faults cost".

@@ -12,7 +12,7 @@ namespace ccsim::mpi {
 namespace {
 
 sim::Task<msg::PayloadPtr>
-allgatherRing(CollCtx ctx, Bytes m, msg::PayloadPtr mine)
+allgatherRing(const CollCtx &ctx, Bytes m, msg::PayloadPtr mine)
 {
     int p = ctx.size;
     int right = ctx.relative(ctx.rank, 1);
@@ -35,7 +35,7 @@ allgatherRing(CollCtx ctx, Bytes m, msg::PayloadPtr mine)
 
 /** Doubling exchange; requires a power-of-two communicator. */
 sim::Task<msg::PayloadPtr>
-allgatherRecDoubling(CollCtx ctx, Bytes m, msg::PayloadPtr mine)
+allgatherRecDoubling(const CollCtx &ctx, Bytes m, msg::PayloadPtr mine)
 {
     int p = ctx.size;
     msg::PayloadPtr acc = std::move(mine); // contiguous group block
@@ -57,7 +57,7 @@ allgatherRecDoubling(CollCtx ctx, Bytes m, msg::PayloadPtr mine)
 } // namespace
 
 sim::Task<msg::PayloadPtr>
-allgatherImpl(CollCtx ctx, machine::Algo algo, Bytes m,
+allgatherImpl(const CollCtx &ctx, machine::Algo algo, Bytes m,
               msg::PayloadPtr mine)
 {
     if (m < 0)

@@ -21,7 +21,7 @@ blockOf(const msg::PayloadPtr &all, int i, Bytes m)
 }
 
 sim::Task<msg::PayloadPtr>
-alltoallLinear(CollCtx ctx, Bytes m, msg::PayloadPtr mine)
+alltoallLinear(const CollCtx &ctx, Bytes m, msg::PayloadPtr mine)
 {
     int p = ctx.size;
     std::vector<msg::PayloadPtr> out(static_cast<size_t>(p));
@@ -51,7 +51,7 @@ alltoallLinear(CollCtx ctx, Bytes m, msg::PayloadPtr mine)
 }
 
 sim::Task<msg::PayloadPtr>
-alltoallPairwise(CollCtx ctx, Bytes m, msg::PayloadPtr mine)
+alltoallPairwise(const CollCtx &ctx, Bytes m, msg::PayloadPtr mine)
 {
     int p = ctx.size;
     bool pow2 = isPow2(p);
@@ -80,7 +80,7 @@ alltoallPairwise(CollCtx ctx, Bytes m, msg::PayloadPtr mine)
  * up to log2 p times).
  */
 sim::Task<msg::PayloadPtr>
-alltoallBruck(CollCtx ctx, Bytes m, msg::PayloadPtr mine)
+alltoallBruck(const CollCtx &ctx, Bytes m, msg::PayloadPtr mine)
 {
     int p = ctx.size;
 
@@ -131,7 +131,7 @@ alltoallBruck(CollCtx ctx, Bytes m, msg::PayloadPtr mine)
 } // namespace
 
 sim::Task<msg::PayloadPtr>
-alltoallImpl(CollCtx ctx, machine::Algo algo, Bytes m,
+alltoallImpl(const CollCtx &ctx, machine::Algo algo, Bytes m,
              msg::PayloadPtr mine)
 {
     if (m < 0)

@@ -1,7 +1,9 @@
 /**
  * @file
  * Barrier algorithms: linear (fan-in + release), binomial tree,
- * dissemination, and the T3D hardware barrier tree.
+ * dissemination, and the T3D hardware barrier tree.  Each charges the
+ * collective entry cost itself, so barrierImpl only picks one and
+ * adds no coroutine frame of its own.
  */
 
 #include "machine/machine.hh"
@@ -14,8 +16,9 @@ namespace {
 
 /** Everyone reports to rank 0, which then releases everyone. */
 sim::Task<void>
-barrierLinear(CollCtx ctx)
+barrierLinear(const CollCtx &ctx)
 {
+    co_await ctx.entry();
     int p = ctx.size;
     if (ctx.rank == 0) {
         for (int i = 1; i < p; ++i) {
@@ -35,8 +38,9 @@ barrierLinear(CollCtx ctx)
 
 /** Binomial fan-in to rank 0, binomial fan-out release. */
 sim::Task<void>
-barrierTree(CollCtx ctx)
+barrierTree(const CollCtx &ctx)
 {
+    co_await ctx.entry();
     int p = ctx.size;
     int r = ctx.rank;
 
@@ -79,8 +83,9 @@ barrierTree(CollCtx ctx)
  * (rank + 2^k) and waits for (rank - 2^k).  What MPICH used.
  */
 sim::Task<void>
-barrierDissemination(CollCtx ctx)
+barrierDissemination(const CollCtx &ctx)
 {
+    co_await ctx.entry();
     for (int k = 1; k < ctx.size; k <<= 1) {
         co_await ctx.stage();
         int to = ctx.relative(ctx.rank, k);
@@ -91,8 +96,9 @@ barrierDissemination(CollCtx ctx)
 
 /** The dedicated barrier network (requires full-machine group). */
 sim::Task<void>
-barrierHardware(CollCtx ctx)
+barrierHardware(const CollCtx &ctx)
 {
+    co_await ctx.entry();
     machine::HardwareBarrier *hw = ctx.mach->hwBarrier();
     if (!hw)
         fatal("hardware barrier requested on '%s', which has none",
@@ -103,31 +109,24 @@ barrierHardware(CollCtx ctx)
 } // namespace
 
 sim::Task<void>
-barrierImpl(CollCtx ctx, machine::Algo algo)
+barrierImpl(const CollCtx &ctx, machine::Algo algo)
 {
-    co_await ctx.entry();
-    if (ctx.size == 1)
-        co_return;
-
-    // The hardware tree spans the whole machine; a sub-communicator
-    // must fall back to the software barrier.
-    if (algo == machine::Algo::Hardware &&
-        ctx.size != ctx.mach->size())
+    // One rank only pays the entry cost: a dissemination barrier runs
+    // no rounds at p = 1.  The hardware tree spans the whole machine;
+    // a sub-communicator falls back to the software barrier.
+    if (ctx.size == 1 || (algo == machine::Algo::Hardware &&
+                          ctx.size != ctx.mach->size()))
         algo = machine::Algo::Dissemination;
 
     switch (algo) {
       case machine::Algo::Linear:
-        co_await barrierLinear(ctx);
-        break;
+        return barrierLinear(ctx);
       case machine::Algo::Binomial:
-        co_await barrierTree(ctx);
-        break;
+        return barrierTree(ctx);
       case machine::Algo::Dissemination:
-        co_await barrierDissemination(ctx);
-        break;
+        return barrierDissemination(ctx);
       case machine::Algo::Hardware:
-        co_await barrierHardware(ctx);
-        break;
+        return barrierHardware(ctx);
       default:
         fatal("barrier: unsupported algorithm '%s'",
               machine::algoName(algo).c_str());

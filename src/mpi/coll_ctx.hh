@@ -86,7 +86,7 @@ struct CollCtx
     }
 
     /** Send @p bytes to communicator rank @p to. */
-    sim::Task<void>
+    msg::SendAwaiter
     send(int to, Bytes bytes, msg::PayloadPtr payload = nullptr) const
     {
         if (om)
@@ -96,7 +96,7 @@ struct CollCtx
     }
 
     /** Receive from communicator rank @p from (kAnySource allowed). */
-    sim::Task<msg::Message>
+    msg::RecvAwaiter
     recv(int from) const
     {
         int src = from == msg::kAnySource ? from : global(from);
@@ -129,7 +129,7 @@ struct CollCtx
     }
 
     /** Concurrent exchange with two (possibly equal) partners. */
-    sim::Task<msg::Message>
+    msg::RecvAwaiter
     sendrecv(int to, Bytes bytes, int from,
              msg::PayloadPtr payload = nullptr) const
     {

@@ -20,7 +20,7 @@ namespace {
  * completion — the measured per-node latency slope.
  */
 sim::Task<msg::PayloadPtr>
-gatherLinear(CollCtx ctx, Bytes m, int root, msg::PayloadPtr mine)
+gatherLinear(const CollCtx &ctx, Bytes m, int root, msg::PayloadPtr mine)
 {
     int p = ctx.size;
     if (ctx.rank != root) {
@@ -58,7 +58,7 @@ gatherLinear(CollCtx ctx, Bytes m, int root, msg::PayloadPtr mine)
  * final rotation when root != 0.
  */
 sim::Task<msg::PayloadPtr>
-gatherBinomial(CollCtx ctx, Bytes m, int root, msg::PayloadPtr mine)
+gatherBinomial(const CollCtx &ctx, Bytes m, int root, msg::PayloadPtr mine)
 {
     int p = ctx.size;
     int r = (ctx.rank - root % p + p) % p;
@@ -92,7 +92,7 @@ gatherBinomial(CollCtx ctx, Bytes m, int root, msg::PayloadPtr mine)
 } // namespace
 
 sim::Task<msg::PayloadPtr>
-gathervImpl(CollCtx ctx, machine::Algo algo,
+gathervImpl(const CollCtx &ctx, machine::Algo algo,
             const std::vector<Bytes> &counts, int root,
             msg::PayloadPtr mine)
 {
@@ -142,7 +142,7 @@ gathervImpl(CollCtx ctx, machine::Algo algo,
 }
 
 sim::Task<msg::PayloadPtr>
-gatherImpl(CollCtx ctx, machine::Algo algo, Bytes m, int root,
+gatherImpl(const CollCtx &ctx, machine::Algo algo, Bytes m, int root,
            msg::PayloadPtr mine)
 {
     if (root < 0 || root >= ctx.size)

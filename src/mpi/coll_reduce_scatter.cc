@@ -23,7 +23,7 @@ blockOf(const msg::PayloadPtr &all, int i, Bytes m)
 }
 
 sim::Task<msg::PayloadPtr>
-reduceScatterLinear(CollCtx ctx, Bytes m, msg::PayloadPtr mine)
+reduceScatterLinear(const CollCtx &ctx, Bytes m, msg::PayloadPtr mine)
 {
     // Fold the whole p*m vector at rank 0, then scatter the blocks.
     CollCtx sub = ctx;
@@ -39,7 +39,7 @@ reduceScatterLinear(CollCtx ctx, Bytes m, msg::PayloadPtr mine)
 /** Power-of-two halving exchange; O(log p) rounds, each moving and
  *  folding half of the remaining range. */
 sim::Task<msg::PayloadPtr>
-reduceScatterHalving(CollCtx ctx, Bytes m, msg::PayloadPtr mine)
+reduceScatterHalving(const CollCtx &ctx, Bytes m, msg::PayloadPtr mine)
 {
     int p = ctx.size;
     int lo = 0;
@@ -75,7 +75,7 @@ reduceScatterHalving(CollCtx ctx, Bytes m, msg::PayloadPtr mine)
 
 /** Any-p pairwise exchange: p-1 rounds of one m-byte block each. */
 sim::Task<msg::PayloadPtr>
-reduceScatterPairwise(CollCtx ctx, Bytes m, msg::PayloadPtr mine)
+reduceScatterPairwise(const CollCtx &ctx, Bytes m, msg::PayloadPtr mine)
 {
     int p = ctx.size;
     msg::PayloadPtr acc = blockOf(mine, ctx.rank, m);
@@ -94,7 +94,7 @@ reduceScatterPairwise(CollCtx ctx, Bytes m, msg::PayloadPtr mine)
 } // namespace
 
 sim::Task<msg::PayloadPtr>
-reduceScatterImpl(CollCtx ctx, machine::Algo algo, Bytes m,
+reduceScatterImpl(const CollCtx &ctx, machine::Algo algo, Bytes m,
                   msg::PayloadPtr mine)
 {
     if (m < 0)

@@ -12,7 +12,7 @@ namespace ccsim::mpi {
 namespace {
 
 sim::Task<msg::PayloadPtr>
-scanLinear(CollCtx ctx, Bytes m, msg::PayloadPtr mine)
+scanLinear(const CollCtx &ctx, Bytes m, msg::PayloadPtr mine)
 {
     msg::PayloadPtr acc = std::move(mine);
     if (ctx.rank > 0) {
@@ -29,7 +29,7 @@ scanLinear(CollCtx ctx, Bytes m, msg::PayloadPtr mine)
 }
 
 sim::Task<msg::PayloadPtr>
-scanRecDoubling(CollCtx ctx, Bytes m, msg::PayloadPtr mine)
+scanRecDoubling(const CollCtx &ctx, Bytes m, msg::PayloadPtr mine)
 {
     // scan: fold over [segment start, rank]; total: fold over my
     // whole current segment [rank - k + 1, rank] (what gets sent).
@@ -62,7 +62,7 @@ scanRecDoubling(CollCtx ctx, Bytes m, msg::PayloadPtr mine)
 } // namespace
 
 sim::Task<msg::PayloadPtr>
-scanImpl(CollCtx ctx, machine::Algo algo, Bytes m, msg::PayloadPtr mine)
+scanImpl(const CollCtx &ctx, machine::Algo algo, Bytes m, msg::PayloadPtr mine)
 {
     if (m < 0)
         fatal("scan: negative message length");

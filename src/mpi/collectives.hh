@@ -20,6 +20,12 @@
  *               fold, others null;
  *  - allreduce: like reduce but everyone returns the fold;
  *  - scan:      inclusive prefix fold in rank order.
+ *
+ * Every entry point takes the caller's CollCtx by reference, so the
+ * context lives once, in the caller's frame, however deep the
+ * algorithm nests.  The returned task must therefore be co_awaited
+ * while that context is alive, and must never be handed to
+ * Simulator::spawn: a root outlives the frame it was built in.
  */
 
 #ifndef CCSIM_MPI_COLLECTIVES_HH
@@ -30,17 +36,17 @@
 
 namespace ccsim::mpi {
 
-sim::Task<void> barrierImpl(CollCtx ctx, machine::Algo algo);
+sim::Task<void> barrierImpl(const CollCtx &ctx, machine::Algo algo);
 
-sim::Task<msg::PayloadPtr> bcastImpl(CollCtx ctx, machine::Algo algo,
+sim::Task<msg::PayloadPtr> bcastImpl(const CollCtx &ctx, machine::Algo algo,
                                      Bytes m, int root,
                                      msg::PayloadPtr data);
 
-sim::Task<msg::PayloadPtr> gatherImpl(CollCtx ctx, machine::Algo algo,
+sim::Task<msg::PayloadPtr> gatherImpl(const CollCtx &ctx, machine::Algo algo,
                                       Bytes m, int root,
                                       msg::PayloadPtr mine);
 
-sim::Task<msg::PayloadPtr> scatterImpl(CollCtx ctx, machine::Algo algo,
+sim::Task<msg::PayloadPtr> scatterImpl(const CollCtx &ctx, machine::Algo algo,
                                        Bytes m, int root,
                                        msg::PayloadPtr all);
 
@@ -49,37 +55,37 @@ sim::Task<msg::PayloadPtr> scatterImpl(CollCtx ctx, machine::Algo algo,
  *  with gatherImpl, but only Linear is implemented (the era's MPICH
  *  did the same — trees do not compose with ragged counts); anything
  *  else is fatal(). */
-sim::Task<msg::PayloadPtr> gathervImpl(CollCtx ctx, machine::Algo algo,
+sim::Task<msg::PayloadPtr> gathervImpl(const CollCtx &ctx, machine::Algo algo,
                                        const std::vector<Bytes> &counts,
                                        int root, msg::PayloadPtr mine);
 
 /** scatterv: root holds sum(counts) bytes; rank i returns its
  *  counts[i]-byte block.  Linear only, like gathervImpl. */
 sim::Task<msg::PayloadPtr> scattervImpl(
-    CollCtx ctx, machine::Algo algo, const std::vector<Bytes> &counts,
+    const CollCtx &ctx, machine::Algo algo, const std::vector<Bytes> &counts,
     int root, msg::PayloadPtr all);
 
-sim::Task<msg::PayloadPtr> allgatherImpl(CollCtx ctx, machine::Algo algo,
+sim::Task<msg::PayloadPtr> allgatherImpl(const CollCtx &ctx, machine::Algo algo,
                                          Bytes m, msg::PayloadPtr mine);
 
-sim::Task<msg::PayloadPtr> alltoallImpl(CollCtx ctx, machine::Algo algo,
+sim::Task<msg::PayloadPtr> alltoallImpl(const CollCtx &ctx, machine::Algo algo,
                                         Bytes m, msg::PayloadPtr mine);
 
-sim::Task<msg::PayloadPtr> reduceImpl(CollCtx ctx, machine::Algo algo,
+sim::Task<msg::PayloadPtr> reduceImpl(const CollCtx &ctx, machine::Algo algo,
                                       Bytes m, int root,
                                       msg::PayloadPtr mine);
 
-sim::Task<msg::PayloadPtr> allreduceImpl(CollCtx ctx, machine::Algo algo,
+sim::Task<msg::PayloadPtr> allreduceImpl(const CollCtx &ctx, machine::Algo algo,
                                          Bytes m, msg::PayloadPtr mine);
 
 /** reduce-scatter: each rank passes p blocks of m bytes; block i of
  *  the elementwise fold lands at rank i. */
-sim::Task<msg::PayloadPtr> reduceScatterImpl(CollCtx ctx,
+sim::Task<msg::PayloadPtr> reduceScatterImpl(const CollCtx &ctx,
                                              machine::Algo algo,
                                              Bytes m,
                                              msg::PayloadPtr mine);
 
-sim::Task<msg::PayloadPtr> scanImpl(CollCtx ctx, machine::Algo algo,
+sim::Task<msg::PayloadPtr> scanImpl(const CollCtx &ctx, machine::Algo algo,
                                     Bytes m, msg::PayloadPtr mine);
 
 } // namespace ccsim::mpi

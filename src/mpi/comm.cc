@@ -112,7 +112,7 @@ Comm::subgroup(const std::vector<int> &members) const
     return Comm(*mach_, my_new_rank, new_size, std::move(group), ctx);
 }
 
-sim::Task<void>
+msg::SendAwaiter
 Comm::send(int dst, int tag, Bytes bytes, msg::PayloadPtr payload) const
 {
     int g = globalRank(dst);
@@ -122,7 +122,7 @@ Comm::send(int dst, int tag, Bytes bytes, msg::PayloadPtr payload) const
                             std::move(payload));
 }
 
-sim::Task<msg::Message>
+msg::RecvAwaiter
 Comm::recv(int src, int tag) const
 {
     int g = src == msg::kAnySource ? src : globalRank(src);
@@ -158,7 +158,7 @@ Comm::wait(msg::Request req) const
     return transport().wait(std::move(req));
 }
 
-sim::Task<msg::Message>
+msg::RecvAwaiter
 Comm::sendrecv(int dst, int send_tag, Bytes bytes, int src, int recv_tag,
                msg::PayloadPtr payload) const
 {
@@ -229,7 +229,7 @@ Comm::bcastCore(Bytes m, int root, Algo algo, msg::PayloadPtr data)
     CollCtx ctx = makeCtx(Coll::Bcast, algo, m, {});
     stats::CollOpMetrics *om = ctx.om;
     const Time t0 = mach_->sim().now();
-    msg::PayloadPtr out = co_await bcastImpl(std::move(ctx), algo, m, root, std::move(data));
+    msg::PayloadPtr out = co_await bcastImpl(ctx, algo, m, root, std::move(data));
     if (om)
         finishColl(mach_, globalRank(rank_), om, t0);
     co_return out;
@@ -242,7 +242,7 @@ Comm::gatherCore(Bytes m, int root, Algo algo, msg::PayloadPtr mine)
     CollCtx ctx = makeCtx(Coll::Gather, algo, m, {});
     stats::CollOpMetrics *om = ctx.om;
     const Time t0 = mach_->sim().now();
-    msg::PayloadPtr out = co_await gatherImpl(std::move(ctx), algo, m, root, std::move(mine));
+    msg::PayloadPtr out = co_await gatherImpl(ctx, algo, m, root, std::move(mine));
     if (om)
         finishColl(mach_, globalRank(rank_), om, t0);
     co_return out;
@@ -255,7 +255,7 @@ Comm::scatterCore(Bytes m, int root, Algo algo, msg::PayloadPtr all)
     CollCtx ctx = makeCtx(Coll::Scatter, algo, m, {});
     stats::CollOpMetrics *om = ctx.om;
     const Time t0 = mach_->sim().now();
-    msg::PayloadPtr out = co_await scatterImpl(std::move(ctx), algo, m, root, std::move(all));
+    msg::PayloadPtr out = co_await scatterImpl(ctx, algo, m, root, std::move(all));
     if (om)
         finishColl(mach_, globalRank(rank_), om, t0);
     co_return out;
@@ -273,7 +273,7 @@ Comm::gathervCore(std::vector<Bytes> counts, int root, Algo algo,
     CollCtx ctx = makeCtx(Coll::Gather, algo, 0, {});
     stats::CollOpMetrics *om = ctx.om;
     const Time t0 = mach_->sim().now();
-    msg::PayloadPtr out = co_await gathervImpl(std::move(ctx), algo, counts, root,
+    msg::PayloadPtr out = co_await gathervImpl(ctx, algo, counts, root,
                                    std::move(mine));
     if (om)
         finishColl(mach_, globalRank(rank_), om, t0);
@@ -290,7 +290,7 @@ Comm::scattervCore(std::vector<Bytes> counts, int root, Algo algo,
     CollCtx ctx = makeCtx(Coll::Scatter, algo, 0, {});
     stats::CollOpMetrics *om = ctx.om;
     const Time t0 = mach_->sim().now();
-    msg::PayloadPtr out = co_await scattervImpl(std::move(ctx), algo, counts, root,
+    msg::PayloadPtr out = co_await scattervImpl(ctx, algo, counts, root,
                                     std::move(all));
     if (om)
         finishColl(mach_, globalRank(rank_), om, t0);
@@ -304,7 +304,7 @@ Comm::allgatherCore(Bytes m, Algo algo, msg::PayloadPtr mine)
     CollCtx ctx = makeCtx(Coll::Allgather, algo, m, {});
     stats::CollOpMetrics *om = ctx.om;
     const Time t0 = mach_->sim().now();
-    msg::PayloadPtr out = co_await allgatherImpl(std::move(ctx), algo, m, std::move(mine));
+    msg::PayloadPtr out = co_await allgatherImpl(ctx, algo, m, std::move(mine));
     if (om)
         finishColl(mach_, globalRank(rank_), om, t0);
     co_return out;
@@ -317,7 +317,7 @@ Comm::alltoallCore(Bytes m, Algo algo, msg::PayloadPtr mine)
     CollCtx ctx = makeCtx(Coll::Alltoall, algo, m, {});
     stats::CollOpMetrics *om = ctx.om;
     const Time t0 = mach_->sim().now();
-    msg::PayloadPtr out = co_await alltoallImpl(std::move(ctx), algo, m, std::move(mine));
+    msg::PayloadPtr out = co_await alltoallImpl(ctx, algo, m, std::move(mine));
     if (om)
         finishColl(mach_, globalRank(rank_), om, t0);
     co_return out;
@@ -331,7 +331,7 @@ Comm::reduceCore(Bytes m, int root, Algo algo, Combiner combiner,
     CollCtx ctx = makeCtx(Coll::Reduce, algo, m, std::move(combiner));
     stats::CollOpMetrics *om = ctx.om;
     const Time t0 = mach_->sim().now();
-    msg::PayloadPtr out = co_await reduceImpl(std::move(ctx), algo, m, root, std::move(mine));
+    msg::PayloadPtr out = co_await reduceImpl(ctx, algo, m, root, std::move(mine));
     if (om)
         finishColl(mach_, globalRank(rank_), om, t0);
     co_return out;
@@ -345,7 +345,7 @@ Comm::allreduceCore(Bytes m, Algo algo, Combiner combiner,
     CollCtx ctx = makeCtx(Coll::Allreduce, algo, m, std::move(combiner));
     stats::CollOpMetrics *om = ctx.om;
     const Time t0 = mach_->sim().now();
-    msg::PayloadPtr out = co_await allreduceImpl(std::move(ctx), algo, m, std::move(mine));
+    msg::PayloadPtr out = co_await allreduceImpl(ctx, algo, m, std::move(mine));
     if (om)
         finishColl(mach_, globalRank(rank_), om, t0);
     co_return out;
@@ -360,7 +360,7 @@ Comm::reduceScatterCore(Bytes m, Algo algo, Combiner combiner,
                           std::move(combiner));
     stats::CollOpMetrics *om = ctx.om;
     const Time t0 = mach_->sim().now();
-    msg::PayloadPtr out = co_await reduceScatterImpl(std::move(ctx), algo, m, std::move(mine));
+    msg::PayloadPtr out = co_await reduceScatterImpl(ctx, algo, m, std::move(mine));
     if (om)
         finishColl(mach_, globalRank(rank_), om, t0);
     co_return out;
@@ -374,7 +374,7 @@ Comm::scanCore(Bytes m, Algo algo, Combiner combiner,
     CollCtx ctx = makeCtx(Coll::Scan, algo, m, std::move(combiner));
     stats::CollOpMetrics *om = ctx.om;
     const Time t0 = mach_->sim().now();
-    msg::PayloadPtr out = co_await scanImpl(std::move(ctx), algo, m, std::move(mine));
+    msg::PayloadPtr out = co_await scanImpl(ctx, algo, m, std::move(mine));
     if (om)
         finishColl(mach_, globalRank(rank_), om, t0);
     co_return out;

@@ -40,15 +40,42 @@ Transport::Transport(sim::Simulator &sim, net::Network &net, Fabric &fabric,
               params_.coprocessor_overlap);
 }
 
-BusyAwaiter
-Transport::busy(Time cost)
+Time
+Transport::charge(Time cost)
 {
     if (cost < 0)
         panic("Transport::busy: negative cost");
     if (fi_)
         cost = fi_->scaleCpu(node_, cost); // straggler injection
     cpu_free_ = std::max(sim_.now(), cpu_free_) + cost;
-    return BusyAwaiter(sim_, cpu_free_);
+    return cpu_free_;
+}
+
+void
+Transport::then(Time end, ReqPtr st, Step step)
+{
+    if (end <= sim_.now()) {
+        (this->*step)(std::move(st));
+        return;
+    }
+    sim_.scheduleAt(end, [this, st = std::move(st), step]() mutable {
+        (this->*step)(std::move(st));
+    });
+}
+
+void
+ReqState::complete()
+{
+    std::coroutine_handle<> h = std::exchange(waiter, nullptr);
+    if (!h) {
+        done.fire();
+        return;
+    }
+    if (pair && !pair->done.fired() && !exc) {
+        pair->done.wait().await_suspend(h);
+        return;
+    }
+    h.resume();
 }
 
 bool
@@ -175,9 +202,9 @@ Transport::reliableDeliver(int dst, Bytes bytes, Time when,
     }
 }
 
-sim::Task<void>
-Transport::send(int dst, int tag, int context, Bytes bytes,
-                PayloadPtr payload, CostOverride ov)
+Transport::ReqPtr
+Transport::startSend(int dst, int tag, int context, Bytes bytes,
+                     PayloadPtr payload, CostOverride ov)
 {
     const Time o_send =
         ov.send >= 0 ? ov.send : params_.send_overhead;
@@ -189,11 +216,12 @@ Transport::send(int dst, int tag, int context, Bytes bytes,
         panic("Transport::send: payload size %zu != declared %lld",
               payload->size(), static_cast<long long>(bytes));
 
+    ReqPtr st = req_pool_.make(sim_);
     ++sends_;
     bytes_sent_ += bytes;
-    const Time span_start = sim_.now();
-
-    Time copy = transferTime(bytes, params_.copy_bandwidth_mbs);
+    st->span_start = sim_.now();
+    st->msg.emplace(
+        Message{node_, dst, tag, context, bytes, std::move(payload), 0, 0});
 
     if (tm_)
         tm_->msg_bytes.add(static_cast<double>(bytes));
@@ -203,99 +231,134 @@ Transport::send(int dst, int tag, int context, Bytes bytes,
         // nothing touches the network.
         if (tm_)
             tm_->self_sends.add();
-        co_await busy(o_send + copy);
-        Message m{node_, dst, tag, context, bytes, std::move(payload),
-                  sim_.now(), 0};
-        deliverEager(std::move(m));
-        traceSpan(sim::SpanKind::Send, span_start, bytes, dst);
-        co_return;
-    }
-
-    Transport *peer = &fabric_.node(dst);
-
-    if (bytes <= params_.eager_threshold) {
+        then(charge(o_send + transferTime(bytes, params_.copy_bandwidth_mbs)),
+             st, &Transport::deliverSelf);
+    } else if (bytes <= params_.eager_threshold) {
         if (tm_)
             tm_->eager_sends.add();
-        co_await busy(o_send);
-        // The injection copy runs on the coprocessor/DMA timeline;
-        // the main CPU is held only for its (1 - overlap) share.
-        Time copy_start = std::max(sim_.now(), copro_free_);
-        Time inject_done = copy_start + copy;
-        copro_free_ = inject_done;
-        if (tm_)
-            tm_->inject_backlog_us.observe(
-                toMicros(inject_done - sim_.now()));
-        Message m{node_, dst, tag, context, bytes, std::move(payload),
-                  0, 0};
-        transmitWire(dst, bytes, inject_done,
-                     [this, peer, m = std::move(m)](Time arrival) mutable {
-                         m.arrival = arrival;
-                         sim_.scheduleAt(arrival,
-                                         [peer, m = std::move(m)]() mutable {
-                                             peer->deliverEager(
-                                                 std::move(m));
-                                         });
-                     });
-        co_await busy(
-            scaleTime(copy, 1.0 - params_.coprocessor_overlap));
-        traceSpan(sim::SpanKind::Send, span_start, bytes, dst);
-        co_return;
-    }
-
-    // Rendezvous: RTS -> CTS -> DATA.
-    if (tm_)
-        tm_->rdv_sends.add();
-    co_await busy(o_send + params_.rendezvous_overhead);
-    HandshakePtr hs = hs_pool_.make(sim_);
-    Rts rts{node_, tag, context, bytes, payload, hs, 0};
-    transmitWire(dst, 0, sim_.now(),
-                 [this, peer, rts = std::move(rts)](Time arrival) mutable {
-                     sim_.scheduleAt(arrival,
-                                     [peer, rts = std::move(rts)]() mutable {
-                                         peer->deliverRts(
-                                             std::move(rts));
-                                     });
-                 });
-
-    co_await hs->cts.wait();
-
-    Message m{node_, dst, tag, context, bytes, std::move(payload), 0, 0};
-    bool use_blt = params_.blt_enabled && bytes >= params_.blt_threshold;
-    auto fire_data = [this, hs](Time arrival) {
-        hs->msg.arrival = arrival;
-        sim_.scheduleAt(arrival, [hs] { hs->data.fire(); });
-    };
-    if (use_blt) {
-        // Block-transfer engine: descriptor setup instead of a
-        // memory copy; the engine streams straight from user memory.
-        if (tm_)
-            tm_->blt_sends.add();
-        co_await busy(params_.blt_setup);
-        hs->msg = std::move(m);
-        transmitWire(dst, bytes, sim_.now(), fire_data);
+        then(charge(o_send), st, &Transport::injectEager);
     } else {
-        Time copy_start = std::max(sim_.now(), copro_free_);
-        Time inject_done = copy_start + copy;
-        copro_free_ = inject_done;
         if (tm_)
-            tm_->inject_backlog_us.observe(
-                toMicros(inject_done - sim_.now()));
-        hs->msg = std::move(m);
-        transmitWire(dst, bytes, inject_done, fire_data);
-        co_await busy(
-            scaleTime(copy, 1.0 - params_.coprocessor_overlap));
+            tm_->rdv_sends.add();
+        sim_.spawn(sendRendezvous(st, o_send));
     }
-    traceSpan(sim::SpanKind::Send, span_start, bytes, dst);
+    return st;
 }
 
-sim::Task<Message>
-Transport::recv(int src, int tag, int context, CostOverride ov)
+void
+Transport::deliverSelf(ReqPtr st)
 {
-    const Time o_recv =
-        ov.recv >= 0 ? ov.recv : params_.recv_overhead;
+    Message &m = *st->msg;
+    m.arrival = sim_.now();
+    const Bytes bytes = m.bytes;
+    deliverEager(std::move(m));
+    st->msg.reset();
+    traceSpan(sim::SpanKind::Send, st->span_start, bytes, node_);
+    st->complete();
+}
+
+void
+Transport::injectEager(ReqPtr st)
+{
+    // The injection copy runs on the coprocessor/DMA timeline; the
+    // main CPU is held only for its (1 - overlap) share.
+    Message &m = *st->msg;
+    const int dst = m.dst;
+    const Bytes bytes = m.bytes;
+    const Time copy = transferTime(bytes, params_.copy_bandwidth_mbs);
+    Time copy_start = std::max(sim_.now(), copro_free_);
+    Time inject_done = copy_start + copy;
+    copro_free_ = inject_done;
+    if (tm_)
+        tm_->inject_backlog_us.observe(toMicros(inject_done - sim_.now()));
+    Transport *peer = &fabric_.node(dst);
+    transmitWire(dst, bytes, inject_done,
+                 [this, peer, m = std::move(m)](Time arrival) mutable {
+                     m.arrival = arrival;
+                     sim_.scheduleAt(arrival,
+                                     [peer, m = std::move(m)]() mutable {
+                                         peer->deliverEager(std::move(m));
+                                     });
+                 });
+    // The moved-from envelope keeps dst and bytes for the trace span.
+    then(charge(scaleTime(copy, 1.0 - params_.coprocessor_overlap)),
+         std::move(st), &Transport::sendDone);
+}
+
+void
+Transport::sendDone(ReqPtr st)
+{
+    traceSpan(sim::SpanKind::Send, st->span_start, st->msg->bytes,
+              st->msg->dst);
+    st->msg.reset();
+    st->complete();
+}
+
+sim::Task<void>
+Transport::sendRendezvous(ReqPtr st, Time o_send)
+{
+    // RTS -> CTS -> DATA.
+    const int dst = st->msg->dst;
+    const Bytes bytes = st->msg->bytes;
+    try {
+        Transport *peer = &fabric_.node(dst);
+        const Time copy = transferTime(bytes, params_.copy_bandwidth_mbs);
+        co_await busy(o_send + params_.rendezvous_overhead);
+        HandshakePtr hs = hs_pool_.make(sim_);
+        Rts rts{node_, st->msg->tag, st->msg->context, bytes,
+                st->msg->payload, hs, 0};
+        transmitWire(dst, 0, sim_.now(),
+                     [this, peer, rts = std::move(rts)](Time arrival) mutable {
+                         sim_.scheduleAt(arrival,
+                                         [peer, rts = std::move(rts)]() mutable {
+                                             peer->deliverRts(std::move(rts));
+                                         });
+                     });
+
+        co_await hs->cts.wait();
+
+        bool use_blt = params_.blt_enabled && bytes >= params_.blt_threshold;
+        auto fire_data = [this, hs](Time arrival) {
+            hs->msg.arrival = arrival;
+            sim_.scheduleAt(arrival, [hs] { hs->data.fire(); });
+        };
+        if (use_blt) {
+            // Block-transfer engine: descriptor setup instead of a
+            // memory copy; the engine streams straight from user
+            // memory.
+            if (tm_)
+                tm_->blt_sends.add();
+            co_await busy(params_.blt_setup);
+            hs->msg = std::move(*st->msg);
+            transmitWire(dst, bytes, sim_.now(), fire_data);
+        } else {
+            Time copy_start = std::max(sim_.now(), copro_free_);
+            Time inject_done = copy_start + copy;
+            copro_free_ = inject_done;
+            if (tm_)
+                tm_->inject_backlog_us.observe(
+                    toMicros(inject_done - sim_.now()));
+            hs->msg = std::move(*st->msg);
+            transmitWire(dst, bytes, inject_done, fire_data);
+            co_await busy(
+                scaleTime(copy, 1.0 - params_.coprocessor_overlap));
+        }
+        traceSpan(sim::SpanKind::Send, st->span_start, bytes, dst);
+    } catch (...) {
+        st->exc = std::current_exception();
+    }
+    st->msg.reset();
+    st->complete();
+}
+
+Transport::ReqPtr
+Transport::startRecv(int src, int tag, int context, CostOverride ov)
+{
     if (src != kAnySource && (src < 0 || src >= fabric_.size()))
         panic("Transport::recv: source %d out of range", src);
-    const Time span_start = sim_.now();
+    ReqPtr st = req_pool_.make(sim_);
+    st->o_recv = ov.recv >= 0 ? ov.recv : params_.recv_overhead;
+    st->span_start = sim_.now();
 
     // Earliest matching arrival across the eager and RTS queues.
     auto eit = unexpected_.end();
@@ -323,64 +386,68 @@ Transport::recv(int src, int tag, int context, CostOverride ov)
             have_eager = false;
     }
 
-    // The one PendingRecv carries the match whether it was already
-    // queued or is delivered while parked, and its eager slot then
-    // holds the result: the frame keeps a single Message across every
-    // suspension point.
-    PendingRecv pr;
     if (have_eager) {
-        pr.eager = std::move(*eit);
+        st->msg = std::move(*eit);
         unexpected_.erase(eit);
+        copyOut(st);
     } else if (have_rts) {
-        pr.rts = std::move(*rit);
+        Rts rts = std::move(*rit);
         pending_rts_.erase(rit);
+        sim_.spawn(recvRendezvous(st, std::move(rts), false));
     } else {
-        // Nothing has arrived yet: park until a matching delivery.
-        pr.src = src;
-        pr.tag = tag;
-        pr.context = context;
-        co_await sim::suspendWith([&](std::coroutine_handle<> h) {
-            pr.handle = h;
-            pending_recvs_.push_back(&pr);
-            if (tm_)
-                tm_->pending_recv_hw.observe(
-                    static_cast<double>(pending_recvs_.size()));
-        });
-        if (!pr.eager && !pr.rts)
-            panic("Transport::recv: woken with nothing delivered");
-    }
-
-    if (pr.rts) {
-        pr.eager = co_await recvRendezvous(std::move(*pr.rts), ov);
-    } else {
-        co_await busy(o_recv + transferTime(pr.eager->bytes,
-                                            params_.copy_bandwidth_mbs));
-        ++recvs_;
+        // Nothing has arrived yet: post until a matching delivery.
+        pending_recvs_.push_back(PendingRecv{src, tag, context, st});
         if (tm_)
-            tm_->recvs.add();
+            tm_->pending_recv_hw.observe(
+                static_cast<double>(pending_recvs_.size()));
     }
-    traceSpan(sim::SpanKind::Recv, span_start, pr.eager->bytes,
-              pr.eager->src);
-    co_return std::move(*pr.eager);
+    return st;
 }
 
-sim::Task<Message>
-Transport::recvRendezvous(Rts rts, CostOverride ov)
+void
+Transport::copyOut(ReqPtr st)
 {
-    const Time o_recv =
-        ov.recv >= 0 ? ov.recv : params_.recv_overhead;
-    // Process the RTS and return the clear-to-send.
-    co_await busy(params_.rendezvous_overhead);
-    Time cts_arrival = injectAt(rts.src, 0, sim_.now());
-    sim_.scheduleAt(cts_arrival, [hs = rts.hs] { hs->cts.fire(); });
+    const Time cost =
+        st->o_recv + transferTime(st->msg->bytes, params_.copy_bandwidth_mbs);
+    then(charge(cost), std::move(st), &Transport::recvDone);
+}
 
-    co_await rts.hs->data.wait();
-    // Direct deposit into the user buffer: completion cost only.
-    co_await busy(o_recv);
+void
+Transport::recvDone(ReqPtr st)
+{
     ++recvs_;
     if (tm_)
         tm_->recvs.add();
-    co_return std::move(rts.hs->msg);
+    traceSpan(sim::SpanKind::Recv, st->span_start, st->msg->bytes,
+              st->msg->src);
+    st->complete();
+}
+
+sim::Task<void>
+Transport::recvRendezvous(ReqPtr st, Rts rts, bool wake)
+{
+    try {
+        if (wake)
+            co_await sim::suspendWith(
+                [this](std::coroutine_handle<> h) { sim_.resumeNow(h); });
+        // Process the RTS and return the clear-to-send.
+        co_await busy(params_.rendezvous_overhead);
+        Time cts_arrival = injectAt(rts.src, 0, sim_.now());
+        sim_.scheduleAt(cts_arrival, [hs = rts.hs] { hs->cts.fire(); });
+
+        co_await rts.hs->data.wait();
+        // Direct deposit into the user buffer: completion cost only.
+        co_await busy(st->o_recv);
+        ++recvs_;
+        if (tm_)
+            tm_->recvs.add();
+        st->msg = std::move(rts.hs->msg);
+        traceSpan(sim::SpanKind::Recv, st->span_start, st->msg->bytes,
+                  st->msg->src);
+    } catch (...) {
+        st->exc = std::current_exception();
+    }
+    st->complete();
 }
 
 void
@@ -389,12 +456,15 @@ Transport::deliverEager(Message m)
     m.seq = arrival_seq_++;
     for (auto it = pending_recvs_.begin(); it != pending_recvs_.end();
          ++it) {
-        PendingRecv *pr = *it;
-        if (matches(pr->src, pr->tag, pr->context, m.src, m.tag,
+        if (matches(it->src, it->tag, it->context, m.src, m.tag,
                     m.context)) {
+            ReqPtr st = std::move(it->st);
             pending_recvs_.erase(it);
-            pr->eager = std::move(m);
-            sim_.resumeNow(pr->handle);
+            st->msg = std::move(m);
+            // The posted receive proceeds from one event at now.
+            sim_.scheduleNow([this, st = std::move(st)]() mutable {
+                copyOut(std::move(st));
+            });
             return;
         }
     }
@@ -410,12 +480,11 @@ Transport::deliverRts(Rts rts)
     rts.seq = arrival_seq_++;
     for (auto it = pending_recvs_.begin(); it != pending_recvs_.end();
          ++it) {
-        PendingRecv *pr = *it;
-        if (matches(pr->src, pr->tag, pr->context, rts.src, rts.tag,
+        if (matches(it->src, it->tag, it->context, rts.src, rts.tag,
                     rts.context)) {
+            ReqPtr st = std::move(it->st);
             pending_recvs_.erase(it);
-            pr->rts = std::move(rts);
-            sim_.resumeNow(pr->handle);
+            sim_.spawn(recvRendezvous(std::move(st), std::move(rts), true));
             return;
         }
     }
@@ -425,47 +494,47 @@ Transport::deliverRts(Rts rts)
             static_cast<double>(pending_rts_.size()));
 }
 
-sim::Task<void>
-Transport::runSend(sim::PoolPtr<ReqState> st, int dst, int tag,
-                   int context, Bytes bytes, PayloadPtr payload,
-                   CostOverride ov)
+SendAwaiter
+Transport::send(int dst, int tag, int context, Bytes bytes,
+                PayloadPtr payload, CostOverride ov)
 {
-    try {
-        co_await send(dst, tag, context, bytes, std::move(payload), ov);
-    } catch (...) {
-        st->exc = std::current_exception();
-    }
-    st->done.fire();
+    return SendAwaiter(
+        startSend(dst, tag, context, bytes, std::move(payload), ov));
 }
 
-sim::Task<void>
-Transport::runRecv(sim::PoolPtr<ReqState> st, int src, int tag,
-                   int context, CostOverride ov)
+RecvAwaiter
+Transport::recv(int src, int tag, int context, CostOverride ov)
 {
-    try {
-        st->msg = co_await recv(src, tag, context, ov);
-    } catch (...) {
-        st->exc = std::current_exception();
-    }
-    st->done.fire();
+    return RecvAwaiter(startRecv(src, tag, context, ov));
 }
 
 Request
 Transport::isend(int dst, int tag, int context, Bytes bytes,
                  PayloadPtr payload, CostOverride ov)
 {
-    sim::PoolPtr<ReqState> st = req_pool_.make(sim_);
-    sim_.spawn(runSend(st, dst, tag, context, bytes, std::move(payload),
-                       ov));
-    return Request{std::move(st)};
+    try {
+        return Request{
+            startSend(dst, tag, context, bytes, std::move(payload), ov)};
+    } catch (...) {
+        // A bad argument fails the request, not the caller.
+        ReqPtr st = req_pool_.make(sim_);
+        st->exc = std::current_exception();
+        st->done.fire();
+        return Request{std::move(st)};
+    }
 }
 
 Request
 Transport::irecv(int src, int tag, int context, CostOverride ov)
 {
-    sim::PoolPtr<ReqState> st = req_pool_.make(sim_);
-    sim_.spawn(runRecv(st, src, tag, context, ov));
-    return Request{std::move(st)};
+    try {
+        return Request{startRecv(src, tag, context, ov)};
+    } catch (...) {
+        ReqPtr st = req_pool_.make(sim_);
+        st->exc = std::current_exception();
+        st->done.fire();
+        return Request{std::move(st)};
+    }
 }
 
 WaitAwaiter
@@ -476,16 +545,16 @@ Transport::wait(Request req)
     return WaitAwaiter(std::move(req));
 }
 
-sim::Task<Message>
+RecvAwaiter
 Transport::sendrecv(int dst, int send_tag, Bytes bytes, int src,
                     int recv_tag, int context, PayloadPtr payload,
                     CostOverride ov)
 {
-    Request sreq = isend(dst, send_tag, context, bytes,
-                         std::move(payload), ov);
-    Message m = co_await recv(src, recv_tag, context, ov);
-    co_await wait(sreq);
-    co_return m;
+    Request sreq = isend(dst, send_tag, context, bytes, std::move(payload),
+                         ov);
+    ReqPtr st = startRecv(src, recv_tag, context, ov);
+    st->pair = std::move(sreq.state);
+    return RecvAwaiter(std::move(st));
 }
 
 Fabric::Fabric(sim::Simulator &sim, net::Network &net, int n,
@@ -511,6 +580,14 @@ Fabric::Fabric(sim::Simulator &sim, net::Network &net, int n,
 
 Fabric::~Fabric()
 {
+    // A run that ended early (a fault, a deadlock) can leave an RTS
+    // queued at its receiver, pinning a handshake slot of the sender's
+    // pool.  Empty every match queue before any pool goes, so each
+    // slot returns to a live pool.
+    for (int i = 0; i < n_; ++i) {
+        slab_[i].pending_rts_.clear();
+        slab_[i].pending_recvs_.clear();
+    }
     for (int i = n_; i-- > 0;)
         slab_[i].~Transport();
     ::operator delete(slab_, std::align_val_t{alignof(Transport)});

@@ -29,6 +29,14 @@
  * All software costs serialize on the owning node's CPU timeline, so
  * a root gathering from 63 children pays 63 receive overheads
  * back-to-back, exactly like the real thing.
+ *
+ * One eager implementation serves send, isend, recv, irecv and
+ * sendrecv.  It runs as a chain of steps on a pooled ReqState: each
+ * step is run inline or from the one event a coroutine blocked at
+ * that point would have been resumed by, so the events, their times
+ * and their order are those of a coroutine per operation, without
+ * the frames.  The rendezvous handshake and the lossy-wire protocol
+ * stay root coroutines behind the same entry points.
  */
 
 #ifndef CCSIM_MSG_TRANSPORT_HH
@@ -102,14 +110,33 @@ struct CostOverride
     Time recv = -1;
 };
 
-/** Completion state shared between a nonblocking op and its waiter. */
+/**
+ * Completion state of one point-to-point operation, pooled by the
+ * issuing Transport.  The eager protocol runs as callbacks that carry
+ * a PoolPtr to this slot from one step to the next, so an operation
+ * in flight costs one slot, not a chain of coroutine frames.
+ */
 struct ReqState
 {
     explicit ReqState(sim::Simulator &s) : done(s) {}
 
+    /** Finish the operation: resume a blocked send/recv/sendrecv
+     *  caller directly, or fire the trigger a Request waits on. */
+    void complete();
+
     sim::Trigger done;
-    std::optional<Message> msg; // set for receives
+    /** Receives: the matched message.  Sends: the outgoing envelope
+     *  until completion (the payload moves onto the wire). */
+    std::optional<Message> msg;
     std::exception_ptr exc;
+    /** The caller blocked in send/recv/sendrecv, resumed inline at
+     *  completion as a finished coroutine's caller would be; null
+     *  for a Request. */
+    std::coroutine_handle<> waiter;
+    /** sendrecv only: the send half, which its caller waits for too. */
+    sim::PoolPtr<ReqState> pair;
+    Time span_start = 0; //!< when the operation started (trace span)
+    Time o_recv = 0;     //!< receive-completion overhead (receives)
 };
 
 /**
@@ -187,6 +214,75 @@ class [[nodiscard]] WaitAwaiter
     Request req_;
 };
 
+/**
+ * What the blocking operations return.  The operation is already
+ * under way when this is built (it started at the call, as a
+ * coroutine started at its co_await); awaiting it blocks until it
+ * completes.  A completion resumes the caller directly, with no
+ * event, as a finished coroutine returns to its caller.  A sendrecv
+ * whose receive finishes before its send then waits on the send's
+ * trigger, as a wait() on the send would.  No coroutine frame is
+ * created.
+ */
+class OpAwaiter
+{
+  public:
+    explicit OpAwaiter(sim::PoolPtr<ReqState> st) : st_(std::move(st)) {}
+
+    bool
+    await_ready() const noexcept
+    {
+        const ReqState &st = *st_;
+        return st.done.fired() &&
+               (st.exc || !st.pair || st.pair->done.fired());
+    }
+
+    void
+    await_suspend(std::coroutine_handle<> h)
+    {
+        if (!st_->done.fired())
+            st_->waiter = h;
+        else
+            st_->pair->done.wait().await_suspend(h);
+    }
+
+  protected:
+    /** Rethrow the operation's failure, then its send half's. */
+    void
+    rethrow() const
+    {
+        if (st_->exc)
+            std::rethrow_exception(st_->exc);
+        if (st_->pair && st_->pair->exc)
+            std::rethrow_exception(st_->pair->exc);
+    }
+
+    sim::PoolPtr<ReqState> st_;
+};
+
+/** Transport::send's awaiter: completes with nothing. */
+class [[nodiscard]] SendAwaiter : public OpAwaiter
+{
+  public:
+    using OpAwaiter::OpAwaiter;
+
+    void await_resume() const { rethrow(); }
+};
+
+/** Transport::recv's and sendrecv's awaiter: yields the message. */
+class [[nodiscard]] RecvAwaiter : public OpAwaiter
+{
+  public:
+    using OpAwaiter::OpAwaiter;
+
+    Message
+    await_resume()
+    {
+        rethrow();
+        return std::move(*st_->msg);
+    }
+};
+
 /** One node's messaging endpoint. */
 class Transport
 {
@@ -215,18 +311,18 @@ class Transport
      * Blocking send.  Completes when the local resources are free to
      * reuse (eager: after local injection; rendezvous: after the
      * receiver's CTS and the data injection).  Self-sends are
-     * buffered locally and never deadlock.
+     * buffered locally and never deadlock.  The send starts at the
+     * call; co_await the result (at once) to block until it is done.
      */
-    sim::Task<void> send(int dst, int tag, int context, Bytes bytes,
-                         PayloadPtr payload = nullptr,
-                         CostOverride ov = {});
+    SendAwaiter send(int dst, int tag, int context, Bytes bytes,
+                     PayloadPtr payload = nullptr, CostOverride ov = {});
 
     /**
      * Blocking receive matching (@p src | kAnySource,
-     * @p tag | kAnyTag, @p context).  Returns the matched message.
+     * @p tag | kAnyTag, @p context).  co_await the result (at once)
+     * for the matched message.
      */
-    sim::Task<Message> recv(int src, int tag, int context,
-                            CostOverride ov = {});
+    RecvAwaiter recv(int src, int tag, int context, CostOverride ov = {});
 
     /** Nonblocking send; pair with wait(). */
     Request isend(int dst, int tag, int context, Bytes bytes,
@@ -246,10 +342,9 @@ class Transport
      * that keeps pairwise/ring/recursive-doubling exchanges from
      * deadlocking under the rendezvous protocol).
      */
-    sim::Task<Message> sendrecv(int dst, int send_tag, Bytes bytes,
-                                int src, int recv_tag, int context,
-                                PayloadPtr payload = nullptr,
-                                CostOverride ov = {});
+    RecvAwaiter sendrecv(int dst, int send_tag, Bytes bytes, int src,
+                         int recv_tag, int context,
+                         PayloadPtr payload = nullptr, CostOverride ov = {});
 
     /**
      * Occupy this node's CPU for @p cost (scaled on a straggler
@@ -258,7 +353,7 @@ class Transport
      * result to block until the work is done.  Exposed so collectives
      * can charge reduction arithmetic and per-call entry costs.
      */
-    BusyAwaiter busy(Time cost);
+    BusyAwaiter busy(Time cost) { return BusyAwaiter(sim_, charge(cost)); }
 
     /** Messages sent (including self-sends). */
     std::uint64_t sendsStarted() const { return sends_; }
@@ -299,16 +394,18 @@ class Transport
         std::uint64_t seq = 0;
     };
 
-    /** A parked receive awaiting a matching arrival. */
+    /** A posted receive awaiting a matching arrival. */
     struct PendingRecv
     {
         int src = 0;
         int tag = 0;
         int context = 0;
-        std::coroutine_handle<> handle;
-        std::optional<Message> eager;
-        std::optional<Rts> rts;
+        sim::PoolPtr<ReqState> st;
     };
+
+    using ReqPtr = sim::PoolPtr<ReqState>;
+    /** One step of the eager protocol, run on an operation's state. */
+    using Step = void (Transport::*)(ReqPtr);
 
     bool matches(int want_src, int want_tag, int want_ctx,
                  int src, int tag, int ctx) const;
@@ -319,8 +416,34 @@ class Transport
     /** RTS arrival at this node. */
     void deliverRts(Rts rts);
 
-    /** Receiver side of the rendezvous protocol. */
-    sim::Task<Message> recvRendezvous(Rts rts, CostOverride ov);
+    /** Advance the CPU timeline by @p cost (scaled on a straggler
+     *  node); returns when the charged work ends. */
+    Time charge(Time cost);
+
+    /** Run @p step on @p st at @p end: inline when that is now,
+     *  else from one event at @p end (the event a co_await on
+     *  busy() would schedule). */
+    void then(Time end, ReqPtr st, Step step);
+
+    /** Start a send or receive; both throw on bad arguments. */
+    ReqPtr startSend(int dst, int tag, int context, Bytes bytes,
+                     PayloadPtr payload, CostOverride ov);
+    ReqPtr startRecv(int src, int tag, int context, CostOverride ov);
+
+    // The eager protocol's steps.
+    void deliverSelf(ReqPtr st); //!< self-send: buffered local copy
+    void injectEager(ReqPtr st); //!< push the payload on the wire
+    void sendDone(ReqPtr st);
+    void copyOut(ReqPtr st);     //!< matched: charge the receive copy
+    void recvDone(ReqPtr st);
+
+    /** Sender side of the rendezvous protocol, a root task. */
+    sim::Task<void> sendRendezvous(ReqPtr st, Time o_send);
+
+    /** Receiver side of the rendezvous protocol, a root task; with
+     *  @p wake set it first waits for one event at now, as a posted
+     *  receive woken by the RTS does. */
+    sim::Task<void> recvRendezvous(ReqPtr st, Rts rts, bool wake);
 
     /** Inject one wire message; returns its arrival time at dst. */
     Time injectAt(int dst, Bytes bytes, Time when);
@@ -368,12 +491,6 @@ class Transport
     sim::Task<void> reliableDeliver(int dst, Bytes bytes, Time when,
                                     sim::DeliverFn deliver);
 
-    sim::Task<void> runSend(sim::PoolPtr<ReqState> st, int dst,
-                            int tag, int context, Bytes bytes,
-                            PayloadPtr payload, CostOverride ov);
-    sim::Task<void> runRecv(sim::PoolPtr<ReqState> st, int src,
-                            int tag, int context, CostOverride ov);
-
     /** Record a span if tracing is enabled. */
     void
     traceSpan(sim::SpanKind kind, Time start, Bytes bytes, int peer)
@@ -400,11 +517,12 @@ class Transport
     // Match queues are short (a handful of entries, FIFO-scanned) —
     // pooled vectors beat deques here: no chunk-map allocation per
     // endpoint, and erase-from-middle on a few entries is a trivial
-    // move.
+    // move.  Posted receives hold slots of this node's pools below,
+    // a queued RTS a slot of its sender's, so ~Fabric empties those
+    // two queues on every node before any Transport goes.
     std::vector<Message, sim::PoolAlloc<Message>> unexpected_;
     std::vector<Rts, sim::PoolAlloc<Rts>> pending_rts_;
-    std::vector<PendingRecv *, sim::PoolAlloc<PendingRecv *>>
-        pending_recvs_;
+    std::vector<PendingRecv, sim::PoolAlloc<PendingRecv>> pending_recvs_;
 
     /** Slot pools for the per-operation completion objects. */
     sim::Pool<ReqState> req_pool_;
@@ -428,7 +546,12 @@ class Transport
     }
 };
 
-/** Owns the Transport of every node on one machine. */
+/**
+ * Owns the Transport of every node on one machine.  Destroy the
+ * Simulator first (Machine does): a program it still holds, blocked in
+ * send, recv, sendrecv or wait, owns a pooled slot of one of these
+ * Transports.
+ */
 class Fabric
 {
   public:

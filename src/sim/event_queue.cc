@@ -19,6 +19,26 @@ pow2AtLeast(std::size_t n)
     return p;
 }
 
+/**
+ * Spare storage is capped at this many times maxDepth().  A bucket
+ * that doubled its way up to capacity N leaves spares summing to about
+ * 2N, and a window fills several buckets.  A cap of 8 lets a run
+ * that repeats its pattern reuse every block (with 2, a fat-tree
+ * barrier still asked the heap for bucket storage every iteration),
+ * while the spares stay a fixed multiple of the deepest backlog.
+ */
+constexpr std::size_t kSpareDepths = 8;
+
+/** Storage capacity for @p n entries: the reserve, doubled as needed. */
+std::size_t
+capacityFor(std::size_t n)
+{
+    std::size_t c = EventQueue::kBucketReserve;
+    while (c < n)
+        c <<= 1;
+    return c;
+}
+
 } // namespace
 
 EventQueue::EventQueue()
@@ -38,7 +58,6 @@ EventQueue::reserve(std::size_t events)
         cur_ = 0;
         pos_ = 0;
     }
-    overflow_.reserve(events / 4);
 }
 
 void
@@ -70,12 +89,12 @@ EventQueue::insert(Entry e)
         origin_ = e.when;
         cur_ = 0;
         pos_ = 0;
-        buckets_[0].push_back(std::move(e));
+        push(buckets_[0], std::move(e));
         sorted_[0] = 1;
     } else {
         std::size_t b = bucketOf(e.when);
         if (b >= nb_) {
-            overflow_.push_back(std::move(e));
+            push(overflow_, std::move(e));
         } else if (b == cur_) {
             Bucket &bk = buckets_[cur_];
             if (pos_ == 0) {
@@ -86,7 +105,7 @@ EventQueue::insert(Entry e)
                 if (sorted_[cur_] && !bk.empty() &&
                     earlier(e, bk.back()))
                     sorted_[cur_] = 0;
-                bk.push_back(std::move(e));
+                push(bk, std::move(e));
             } else {
                 // Mid-consumption the bucket is sorted past pos_;
                 // keep it that way.
@@ -94,7 +113,7 @@ EventQueue::insert(Entry e)
             }
         } else if (b > cur_) {
             Bucket &bk = buckets_[b];
-            bk.push_back(std::move(e));
+            push(bk, std::move(e));
             if (bk.size() > 1)
                 sorted_[b] = 0;
         } else {
@@ -105,7 +124,7 @@ EventQueue::insert(Entry e)
             // back is safe: every bucket in [b, cur_) is empty.
             cur_ = b;
             pos_ = 0;
-            buckets_[b].push_back(std::move(e));
+            push(buckets_[b], std::move(e));
             sorted_[b] = 1;
         }
     }
@@ -121,6 +140,7 @@ EventQueue::insertSortedCur(Entry e)
     // keep it that way.  Same-instant entries carry the largest seq
     // so the common "resume at now" case appends at the tail.
     Bucket &bk = buckets_[cur_];
+    makeRoom(bk, 1); // may drop the consumed prefix, moving pos_
     auto it = std::upper_bound(
         bk.begin() + static_cast<std::ptrdiff_t>(pos_), bk.end(), e,
         [](const Entry &a, const Entry &b) { return earlier(a, b); });
@@ -130,11 +150,89 @@ EventQueue::insertSortedCur(Entry e)
 void
 EventQueue::reserveFor(Time when, std::size_t n)
 {
-    if (size_ == 0)
+    // An empty queue re-anchors its window at the first insert, which
+    // lands in bucket 0.
+    std::size_t b = size_ == 0 ? 0 : bucketOf(when);
+    makeRoom(b >= nb_ ? overflow_ : buckets_[b], n);
+}
+
+void
+EventQueue::push(Bucket &bk, Entry &&e)
+{
+    if (bk.size() == bk.capacity())
+        makeRoom(bk, 1);
+    bk.push_back(std::move(e));
+}
+
+void
+EventQueue::makeRoom(Bucket &bk, std::size_t extra)
+{
+    if (bk.size() + extra <= bk.capacity())
         return;
-    std::size_t b = bucketOf(when);
-    Bucket &bk = b >= nb_ ? overflow_ : buckets_[b];
-    bk.reserve(bk.size() + n);
+    if (&bk == &buckets_[cur_] && pos_ > 0 && 2 * pos_ >= bk.size()) {
+        // The cursor bucket is at least half consumed: drop the fired
+        // prefix instead of growing, so a bucket that keeps receiving
+        // "now" events holds its pending entries, not its history.
+        // Each entry moves at most once per halving, O(1) amortized.
+        bk.erase(bk.begin(), bk.begin() + static_cast<std::ptrdiff_t>(pos_));
+        pos_ = 0;
+        if (bk.size() + extra <= bk.capacity())
+            return;
+    }
+    Bucket next = takeStorage(capacityFor(bk.size() + extra));
+    next.insert(next.end(), std::make_move_iterator(bk.begin()),
+                std::make_move_iterator(bk.end()));
+    next.swap(bk);
+    next.clear();
+    recycle(next);
+}
+
+void
+EventQueue::release(Bucket &bk)
+{
+    bk.clear();
+    if (bk.capacity() > kBucketReserve) {
+        Bucket old;
+        old.swap(bk);
+        recycle(old);
+    }
+}
+
+EventQueue::Bucket
+EventQueue::takeStorage(std::size_t cap)
+{
+    // Spares are all above the reserve (recycle frees smaller blocks).
+    for (std::size_t i = 0; cap > kBucketReserve && i < spares_.size(); ++i) {
+        if (spares_[i].capacity() != cap)
+            continue;
+        Bucket b;
+        b.swap(spares_[i]);
+        spares_[i].swap(spares_.back());
+        spares_.pop_back();
+        spare_cap_ -= cap;
+        return b;
+    }
+    Bucket b;
+    b.reserve(cap);
+    cap_ += b.capacity();
+    cap_hw_ = std::max(cap_hw_, cap_);
+    return b;
+}
+
+void
+EventQueue::recycle(Bucket &b)
+{
+    const std::size_t c = b.capacity();
+    // Reserve-sized blocks go back to the frame pool; larger ones are
+    // kept while the spares stay within kSpareDepths x maxDepth().
+    if (c > kBucketReserve && spare_cap_ + c <= kSpareDepths * max_depth_) {
+        spares_.emplace_back();
+        spares_.back().swap(b);
+        spare_cap_ += c;
+        return;
+    }
+    cap_ -= c;
+    Bucket().swap(b);
 }
 
 Time
@@ -182,7 +280,7 @@ EventQueue::runNext()
     last_fired_ = e.when;
     ++fired_;
     if (size_ == 0) {
-        buckets_[cur_].clear();
+        release(buckets_[cur_]);
         sorted_[cur_] = 1;
         pos_ = 0;
     } else {
@@ -201,7 +299,7 @@ EventQueue::settle()
         Bucket &bk = buckets_[cur_];
         if (pos_ < bk.size())
             return;
-        bk.clear();
+        release(bk);
         sorted_[cur_] = 1;
         pos_ = 0;
         if (++cur_ == nb_)
@@ -249,7 +347,7 @@ EventQueue::advanceWindow()
         std::size_t b = bucketOf(e.when);
         if (b < nb_) {
             Bucket &bk = buckets_[b];
-            bk.push_back(std::move(e));
+            push(bk, std::move(e));
             if (bk.size() > 1)
                 sorted_[b] = 0;
         } else {
@@ -257,6 +355,8 @@ EventQueue::advanceWindow()
         }
     }
     overflow_.resize(keep);
+    if (keep == 0)
+        release(overflow_);
 }
 
 } // namespace ccsim::sim

@@ -25,9 +25,21 @@
  * Callbacks are sim::SmallFn rather than std::function: the vast
  * majority capture a coroutine handle or a message plus a pointer
  * and are stored inline in the entry, so scheduling an event costs
- * no allocation.  Bucket storage itself comes from the thread-local
- * frame pool (PoolAlloc), so bucket growth after warm-up is a
- * freelist pop, not a malloc.
+ * no allocation.
+ *
+ * Storage follows the events in flight, not the run's history.  A
+ * bucket's capacity is kBucketReserve entries or that doubled k
+ * times.  Storage up to the reserve is a frame-pool block
+ * (PoolAlloc), kept by its bucket; larger storage is an oversize heap
+ * block.  When the cursor walks past a bucket, storage above the
+ * reserve goes to a spare list, and the next bucket that outgrows its
+ * own storage takes a spare of exactly the capacity it needs.  So a
+ * run that repeats its pattern window after window makes no heap call
+ * once the spares cover it.  The spare list holds at most
+ * 8 x maxDepth() entries.  A bucket's storage is at most twice its
+ * entries, or four times its pending ones for the cursor bucket,
+ * which drops its consumed prefix before it grows once half of it
+ * has fired.
  */
 
 #ifndef CCSIM_SIM_EVENT_QUEUE_HH
@@ -81,8 +93,11 @@ class EventQueue
 
     /**
      * Capacity hint: the caller expects up to @p events pending at
-     * once.  Only effective while the queue is empty (the bucket
-     * mapping cannot change mid-flight).
+     * once.  Widens the bucket array (about one bucket per four
+     * events, at most 1024 buckets), so a dense run spreads over more
+     * buckets.  Only effective while the queue is empty, since the
+     * bucket mapping cannot change mid-flight.  Reserves no entry
+     * storage.
      */
     void reserve(std::size_t events);
 
@@ -109,6 +124,16 @@ class EventQueue
 
     /** Largest number of simultaneously pending events ever seen. */
     std::size_t maxDepth() const { return max_depth_; }
+
+    /** Entry slots held now: every bucket's capacity, the spillover
+     *  list's, and the spare storage kept for reuse. */
+    std::size_t retainedCapacity() const { return cap_; }
+
+    /** Largest retainedCapacity() over the queue's lifetime. */
+    std::size_t capacityHighWater() const { return cap_hw_; }
+
+    /** Entry slots a walked bucket keeps (one frame-pool block). */
+    static constexpr std::size_t kBucketReserve = 16;
 
   private:
     struct Entry
@@ -147,9 +172,25 @@ class EventQueue
     void advanceWindow();
     void reserveFor(Time when, std::size_t n);
 
+    /** Append @p e to @p bk, growing it through makeRoom. */
+    void push(Bucket &bk, Entry &&e);
+    /** Make room in @p bk for @p extra more entries (see the file
+     *  comment for the growth rule). */
+    void makeRoom(Bucket &bk, std::size_t extra);
+    /** Empty a walked bucket; storage above the reserve is recycled. */
+    void release(Bucket &bk);
+    /** Storage of exactly @p cap entries: a spare, or a new block. */
+    Bucket takeStorage(std::size_t cap);
+    /** Keep @p b (empty) as a spare, or free it. */
+    void recycle(Bucket &b);
+
     std::vector<Bucket> buckets_;
     std::vector<unsigned char> sorted_; //!< per-bucket "is sorted" flag
     Bucket overflow_;                   //!< events beyond the window
+    std::vector<Bucket> spares_;        //!< recycled storage, all empty
+    std::size_t spare_cap_ = 0;         //!< entry slots in spares_
+    std::size_t cap_ = 0;               //!< retainedCapacity()
+    std::size_t cap_hw_ = 0;
     std::size_t nb_ = 0;                //!< bucket count (power of two)
     int width_bits_ = 18;               //!< log2 bucket width (ps)
     Time origin_ = 0;                   //!< window start time

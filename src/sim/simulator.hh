@@ -162,6 +162,14 @@ class Simulator
         queue_.schedule(when, std::move(cb));
     }
 
+    /** Schedule a callback at the current time, after every event
+     *  already pending for it (the queue's append-at-now path). */
+    void
+    scheduleNow(EventQueue::Callback cb)
+    {
+        queue_.scheduleNow(std::move(cb));
+    }
+
     /** Resume a parked coroutine at absolute time @p when. */
     void
     resumeAt(Time when, std::coroutine_handle<> h)

@@ -16,11 +16,14 @@
  * arrivals, barrier releases) that park the coroutine handle and
  * resume it from a scheduled simulator event, so "time passes" for a
  * program exactly when the event queue says it does.  The primitives
- * are plain awaiters, not Tasks, and so are the two the message hot
- * path awaits most — a CPU charge (msg::Transport::busy) and a
- * request completion (msg::Transport::wait): blocking on them costs
- * no frame.  Only operations that are several protocol steps (send,
- * recv, sendrecv, the isend/irecv roots) are Task coroutines.
+ * are plain awaiters, not Tasks, and so is everything the eager
+ * message path awaits: a CPU charge (msg::Transport::busy), a request
+ * completion (msg::Transport::wait) and the blocking send, recv and
+ * sendrecv, whose eager protocol runs as callbacks on a pooled
+ * request slot.  Blocking on them costs no frame.  Only the
+ * rendezvous handshake and the lossy-wire protocol, reached above the
+ * eager threshold or when faults can drop messages, are Task
+ * coroutines (spawned as roots).
  */
 
 #ifndef CCSIM_SIM_TASK_HH
@@ -320,8 +323,8 @@ namespace detail {
  * still running or blocked, plus roots that threw (kept so that
  * Simulator::run() can rethrow the first of them).  Memory is bounded
  * by in-flight work, not by how many roots a run has ever spawned:
- * every isend/irecv is a root, and its finished frame would otherwise
- * pin its request state too.
+ * every rendezvous or lossy-wire protocol run is a root, and its
+ * finished frame would otherwise pin its request state too.
  */
 class RootSet
 {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/event_queue.hh"
+#include "sim/pool.hh"
 #include "util/logging.hh"
 
 namespace ccsim::sim {
@@ -269,6 +270,47 @@ TEST(EventQueue, ReserveIsTransparent)
     while (!hinted.empty())
         hinted.runNext();
     EXPECT_EQ(fp, fh);
+}
+
+TEST(EventQueue, StorageFollowsInFlightEvents)
+{
+    // 96 rounds, each a 16384-wide same-time batch a microsecond after
+    // the last, drained before the next.  reserve(4096) makes 1024
+    // buckets a few hundred nanoseconds wide, and a far event keeps
+    // the window anchored at the first round, so every batch lands
+    // in a bucket of its own.  Storage kept per visited bucket would
+    // grow with the rounds; recycled storage stays with the one batch
+    // in flight.
+    const std::size_t width = 16384;
+    const int rounds = 96;
+    const std::size_t buckets = 1024;
+    EventQueue q;
+    q.reserve(4 * buckets);
+    std::uint64_t sink = 0;
+    std::uint64_t oversize_after_first = 0;
+    for (int r = 0; r < rounds; ++r) {
+        const Time when = (r + 1) * US;
+        q.scheduleBatchAt(when, width, [&sink](std::size_t i) {
+            return EventQueue::Callback([&sink, i] { sink += i; });
+        });
+        if (r == 0)
+            q.schedule(200 * US, [] {}); // keeps the window anchored
+        while (q.size() > 1)
+            q.runNext();
+        if (r == 0)
+            oversize_after_first = framePool().counters().oversize;
+    }
+    EXPECT_EQ(sink, rounds * (width * (width - 1) / 2));
+    EXPECT_EQ(q.maxDepth(), width + 1);
+    const std::size_t bound =
+        4 * q.maxDepth() + buckets * EventQueue::kBucketReserve;
+    EXPECT_LE(q.capacityHighWater(), bound);
+    EXPECT_LE(q.retainedCapacity(), q.capacityHighWater());
+    // Once the first round's storage is a spare, later rounds reuse
+    // it: no further oversize (heap) block is requested.
+    EXPECT_EQ(framePool().counters().oversize, oversize_after_first);
+    q.runNext();
+    EXPECT_TRUE(q.empty());
 }
 
 TEST(SmallFn, SmallCapturesAreStoredInline)

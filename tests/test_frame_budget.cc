@@ -5,10 +5,12 @@
  *
  * The counts are deterministic (the simulator is single-threaded and
  * each test starts from a trimmed pool), so each bound is tight
- * enough that turning busy()/wait() into coroutines, capping the
- * blocks a size class may park, or skipping the trim at Machine
- * teardown trips one of them.  A last test pins the event counts of
- * a few fixed points, which the frame-free awaiters must not move.
+ * enough that turning busy()/wait() or the eager send/recv path into
+ * coroutines, copying the collective context into every algorithm
+ * frame, capping the blocks a size class may park, or skipping the
+ * trim at Machine teardown trips one of them.  A last test pins the
+ * event counts of a few fixed points, which the frame-free awaiters
+ * must not move.
  */
 
 #include <cstdint>
@@ -69,6 +71,25 @@ TEST(FrameBudget, HeapAllocationsDoNotGrowWithIterations)
     EXPECT_EQ(k1, k8);
 }
 
+TEST(FrameBudget, QueueStorageIsReusedAcrossIterations)
+{
+    // Event-queue buckets above the frame-pool size classes are heap
+    // blocks.  Recycled as spares, the blocks the first iteration
+    // needed serve every later one: no iteration, and so no window of
+    // a repeating run, asks the heap for bucket storage again.
+    auto oversize = [](int k) {
+        framePool().trim(0);
+        const std::uint64_t before = framePool().counters().oversize;
+        harness::measureCollective(fatTreeSp2(), 4096,
+                                   machine::Coll::Barrier, 0,
+                                   machine::Algo::Default, coldOptions(k));
+        return framePool().counters().oversize - before;
+    };
+    const std::uint64_t k1 = oversize(1);
+    EXPECT_GT(k1, 0u);
+    EXPECT_EQ(oversize(8), k1);
+}
+
 TEST(FrameBudget, FewFramesPerEagerSend)
 {
     harness::MeasureOptions o = coldOptions(2);
@@ -83,12 +104,30 @@ TEST(FrameBudget, FewFramesPerEagerSend)
                                  (after.allocs - before.allocs);
     const std::uint64_t sends = meas.metrics.counters.at("msg.sends.eager");
     ASSERT_GT(sends, 0u);
-    // A sendrecv round needs the sendrecv, isend-root, send and recv
-    // frames plus the odd queue block; CPU charges and request waits
-    // take none.
+    // An eager sendrecv round takes no frame-pool block: its send and
+    // receive halves are ReqState slots that each Transport recycles
+    // itself, and CPU charges and waits are awaiters.  What remains is
+    // one barrier call's frames (runCollectiveOnce, Comm::barrier and
+    // barrierDissemination) spread over its log2 p rounds, plus the
+    // odd queue block: 0.54 per send.  One coroutine frame per message
+    // on the eager path would add at least 1.
     EXPECT_LE(static_cast<double>(blocks) / static_cast<double>(sends),
-              6.0)
+              0.75)
         << blocks << " pool blocks for " << sends << " eager sends";
+}
+
+TEST(FrameBudget, PeakBlocksPerRankOfABarrier)
+{
+    // Heap blocks from a trimmed pool are the run's peak of live
+    // blocks.  Per rank that is four frames (the rank program,
+    // runCollectiveOnce, Comm::barrier, barrierDissemination), the
+    // send and receive ReqState slots, and one match-queue block: 7.
+    // A frame per eager send or receive, or a barrierImpl frame
+    // between Comm::barrier and the algorithm, breaks the bound.
+    const int p = 4096;
+    const std::uint64_t blocks = heapAllocsForBarrier(p, 2);
+    EXPECT_LE(static_cast<double>(blocks) / p, 7.5)
+        << blocks << " heap blocks for " << p << " ranks";
 }
 
 TEST(FrameBudget, DestroyedMachineLeavesOnlyTheReserve)

@@ -61,24 +61,31 @@ TEST(Harness, MoreIterationsSameSteadyState)
 
 TEST(Harness, RootsHeldDoNotGrowWithIterations)
 {
-    // Every isend/irecv is a simulator root.  Finished roots are
-    // freed, so the most held at once is set by one iteration's
-    // in-flight work, not by how many iterations ran.
+    // Rank programs are roots, and so is each rendezvous send and
+    // receive (the 16 KiB bcast is above SP2's 4 KiB eager
+    // threshold).  Finished roots are freed, so the most held at once
+    // is set by one iteration's in-flight work, not by how many
+    // iterations ran.
     auto cfg = machine::sp2Config();
     cfg.topo_spec = "fattree";
-    auto held = [&](int k) {
+    auto held = [&](int p, Coll op, Bytes m, int k) {
         MeasureOptions o;
         o.iterations = k;
         o.repetitions = 1;
         o.memoize = false;
         o.metrics = true;
-        auto m = measureCollective(cfg, 4096, Coll::Barrier, 0,
-                                   Algo::Default, o);
-        return m.metrics.gauges.at("sim.roots_held");
+        auto meas = measureCollective(cfg, p, op, m, Algo::Default, o);
+        return meas.metrics.gauges.at("sim.roots_held");
     };
-    double k1 = held(1);
+    double k1 = held(4096, Coll::Barrier, 0, 1);
     EXPECT_GT(k1, 0.0);
-    EXPECT_EQ(held(8), k1);
+    EXPECT_EQ(held(4096, Coll::Barrier, 0, 8), k1);
+    // Consecutive bcasts overlap a little, so the high water may move
+    // by a root or two with k, but not by the 126 rendezvous roots
+    // each iteration spawns (63 sends, 63 receives).
+    double rdv1 = held(64, Coll::Bcast, 16 * KiB, 1);
+    EXPECT_GT(rdv1, 64.0);
+    EXPECT_LT(held(64, Coll::Bcast, 16 * KiB, 8), rdv1 + 63.0);
 }
 
 TEST(Harness, PaperFaithfulOptionsRun)

@@ -35,10 +35,13 @@ class TransportTest : public ::testing::Test
         return tp;
     }
 
-    /** Fresh simulator + network + fabric (clock back at zero). */
+    /** Fresh simulator + network + fabric (clock back at zero).  The
+     *  simulator goes first, as in Machine: a program it still holds
+     *  blocked in send/recv owns a slot of its Transport's pool. */
     void
     rebuild(const TransportParams &tp)
     {
+        sim_holder_.reset();
         fabric_.reset();
         network_.reset();
         sim_holder_ = std::make_unique<sim::Simulator>();
@@ -52,9 +55,9 @@ class TransportTest : public ::testing::Test
 
     sim::Simulator &sim() { return *sim_holder_; }
 
-    std::unique_ptr<sim::Simulator> sim_holder_;
     std::unique_ptr<net::Network> network_;
     std::unique_ptr<Fabric> fabric_;
+    std::unique_ptr<sim::Simulator> sim_holder_; //!< destroyed first
 };
 
 TEST_F(TransportTest, EagerDeliveryTimesAreExact)
@@ -469,6 +472,24 @@ TEST_F(TransportTest, UnmatchedRecvDeadlocks)
     sim().spawn(prog());
     EXPECT_THROW(sim().run(), PanicError);
     throwOnError(false);
+}
+
+TEST_F(TransportTest, TeardownReleasesAnRtsQueuedAtALowerNode)
+{
+    // Node 3's rendezvous RTS waits at node 1, which never receives,
+    // so the run ends deadlocked with node 3's handshake slot held in
+    // node 1's queue.  The fabric destroys node 3 first; the slot
+    // must still go back to a live pool (the leak checker of the
+    // sanitizer build sees it if it does not).
+    throwOnError(true);
+    auto prog = [&]() -> Task<void> {
+        co_await fabric_->node(3).send(1, 7, 0, 64 * KiB);
+    };
+    sim().spawn(prog());
+    EXPECT_THROW(sim().run(), PanicError);
+    throwOnError(false);
+    sim_holder_.reset();
+    fabric_.reset();
 }
 
 TEST_F(TransportTest, StatsCountTraffic)

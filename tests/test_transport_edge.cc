@@ -35,9 +35,9 @@ struct World
         fabric = std::make_unique<Fabric>(simulator, *network, 4, tp);
     }
 
-    sim::Simulator simulator;
     std::unique_ptr<net::Network> network;
     std::unique_ptr<Fabric> fabric;
+    sim::Simulator simulator; //!< destroyed first, as in Machine
 };
 
 TEST(TransportEdge, AnyTagMatchesInArrivalOrder)
