@@ -137,40 +137,30 @@ memoClear()
     c.stats = MemoStats{};
 }
 
-sim::Task<void>
+mpi::CollAwaiter
 runCollectiveOnce(mpi::Comm &comm, Coll op, Bytes m, Algo algo)
 {
     switch (op) {
       case Coll::Barrier:
-        co_await comm.barrier(algo);
-        break;
+        return comm.barrier(algo);
       case Coll::Bcast:
-        co_await comm.bcast(m, 0, algo);
-        break;
+        return comm.bcast(m, 0, algo);
       case Coll::Gather:
-        co_await comm.gather(m, 0, algo);
-        break;
+        return comm.gather(m, 0, algo);
       case Coll::Scatter:
-        co_await comm.scatter(m, 0, algo);
-        break;
+        return comm.scatter(m, 0, algo);
       case Coll::Allgather:
-        co_await comm.allgather(m, algo);
-        break;
+        return comm.allgather(m, algo);
       case Coll::Alltoall:
-        co_await comm.alltoall(m, algo);
-        break;
+        return comm.alltoall(m, algo);
       case Coll::Reduce:
-        co_await comm.reduce(m, 0, algo);
-        break;
+        return comm.reduce(m, 0, algo);
       case Coll::Allreduce:
-        co_await comm.allreduce(m, algo);
-        break;
+        return comm.allreduce(m, algo);
       case Coll::ReduceScatter:
-        co_await comm.reduceScatter(m, algo);
-        break;
+        return comm.reduceScatter(m, algo);
       case Coll::Scan:
-        co_await comm.scan(m, algo);
-        break;
+        return comm.scan(m, algo);
       default:
         panic("runCollectiveOnce: bad collective %d",
               static_cast<int>(op));

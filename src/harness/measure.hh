@@ -30,7 +30,6 @@
 #define CCSIM_HARNESS_MEASURE_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -154,20 +153,19 @@ struct Measurement
     double us() const { return toMicros(max_time); }
 };
 
-/** A rank program measured by the harness: one collective call. */
-using CollectiveCall =
-    std::function<sim::Task<void>(mpi::Comm &, Bytes)>;
-
 /**
  * Issue a single call of @p op on @p comm (root 0 for the rooted
  * operations) — the building block of the Section 2 loop, public so
  * other drivers (the CLI's --trace-out path, the replay recorder
  * tools) can run one traced call without duplicating the dispatch.
+ * A plain function, not a coroutine: it returns the chosen Comm
+ * call, which the caller co_awaits at once, so dispatching adds no
+ * frame per rank.
  */
-sim::Task<void> runCollectiveOnce(mpi::Comm &comm, machine::Coll op,
-                                  Bytes m,
-                                  machine::Algo algo
-                                  = machine::Algo::Auto);
+mpi::CollAwaiter runCollectiveOnce(mpi::Comm &comm, machine::Coll op,
+                                   Bytes m,
+                                   machine::Algo algo
+                                   = machine::Algo::Auto);
 
 /**
  * Run the Section 2 procedure for one collective on one machine.

@@ -20,10 +20,28 @@ SweepSpec::expand() const
     if (algos.empty())
         fatal("SweepSpec: no algorithms");
 
-    std::vector<SweepPoint> points;
     std::vector<Bytes> default_lengths;
     if (lengths.empty())
         default_lengths = paperMessageLengths();
+
+    // Reserve the exact count: SweepPoint is ~1 KB, so growing by
+    // doubling would touch about twice the final vector's pages, and
+    // a cold sweep set-up pays for every one of them in page faults.
+    std::size_t count = 0;
+    for (const auto &cfg : machines) {
+        std::size_t n_sizes =
+            sizes.empty() ? paperMachineSizes(cfg.name).size() : sizes.size();
+        for (machine::Coll op : ops) {
+            std::size_t n_lengths = op == machine::Coll::Barrier
+                                        ? 1
+                                        : (lengths.empty()
+                                               ? default_lengths.size()
+                                               : lengths.size());
+            count += n_sizes * n_lengths * algos.size();
+        }
+    }
+    std::vector<SweepPoint> points;
+    points.reserve(count);
 
     // Each point gets its own fault universe, mixed from the spec's
     // seed and the point's position in declaration order — the same

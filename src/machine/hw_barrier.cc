@@ -26,7 +26,7 @@ HardwareBarrier::roundFor(std::uint64_t idx)
     return *rounds_[idx - base_round_];
 }
 
-sim::Task<void>
+HardwareBarrier::Arrival
 HardwareBarrier::arrive(int rank)
 {
     if (rank < 0 || rank >= ranks_)
@@ -39,9 +39,12 @@ HardwareBarrier::arrive(int rank)
         sim::Trigger *release = &round.release;
         sim_.schedule(latency_, [release] { release->fire(); });
     }
-    co_await round.release.wait();
+    return Arrival(*this, round);
+}
 
-    // Retire fully-released leading rounds nobody can revisit.
+void
+HardwareBarrier::retire()
+{
     while (!rounds_.empty() && rounds_.front()->release.fired()) {
         bool safe = true;
         for (std::uint64_t nr : next_round_) {

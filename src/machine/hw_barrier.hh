@@ -42,16 +42,6 @@ class HardwareBarrier
     HardwareBarrier(const HardwareBarrier &) = delete;
     HardwareBarrier &operator=(const HardwareBarrier &) = delete;
 
-    /**
-     * Rank @p rank arrives at its next barrier episode; completes
-     * when every rank has arrived at the same episode plus the
-     * hardware latency.
-     */
-    sim::Task<void> arrive(int rank);
-
-    /** Completed barrier episodes. */
-    std::uint64_t episodes() const { return completed_; }
-
   private:
     struct Round
     {
@@ -61,7 +51,51 @@ class HardwareBarrier
         sim::Trigger release;
     };
 
+  public:
+    /** What arrive() returns: parks the caller on its episode's
+     *  release.  No coroutine frame is created. */
+    class [[nodiscard]] Arrival
+    {
+      public:
+        Arrival() = default;
+
+        Arrival(HardwareBarrier &hw, Round &round)
+            : hw_(&hw), round_(&round)
+        {
+        }
+
+        bool await_ready() const noexcept { return round_->release.fired(); }
+
+        void
+        await_suspend(sim::Continuation k) const
+        {
+            round_->release.wait().await_suspend(k);
+        }
+
+        /** Retires released rounds; the episode's own round may be
+         *  gone by now, so this touches only the barrier. */
+        void await_resume() const { hw_->retire(); }
+
+      private:
+        HardwareBarrier *hw_ = nullptr;
+        Round *round_ = nullptr;
+    };
+
+    /**
+     * Rank @p rank arrives at its next barrier episode (at the call);
+     * co_await the result to block until every rank has arrived at
+     * the same episode plus the hardware latency.
+     */
+    Arrival arrive(int rank);
+
+    /** Completed barrier episodes. */
+    std::uint64_t episodes() const { return completed_; }
+
+  private:
     Round &roundFor(std::uint64_t idx);
+
+    /** Drop the fully-released leading rounds nobody can revisit. */
+    void retire();
 
     sim::Simulator &sim_;
     int ranks_;

@@ -6,6 +6,24 @@
 
 namespace ccsim::mpi {
 
+void
+finishColl(machine::Machine &mach, int grank, stats::CollOpMetrics &om,
+           Time t0)
+{
+    Time now = mach.sim().now();
+    om.calls.add();
+    om.time_us.add(toMicros(now - t0));
+    if (grank == 0 && mach.trace().enabled()) {
+        net::Network &net = mach.network();
+        mach.trace().recordCounter(
+            now, "net.payload_bytes",
+            static_cast<double>(net.totalBytes()));
+        if (const auto *lc = net.counters())
+            mach.trace().recordCounter(now, "net.stall_us",
+                                       toMicros(lc->total_stall));
+    }
+}
+
 int
 ceilLog2(int p)
 {

@@ -70,9 +70,15 @@ struct CollCtx
     {
         if (om)
             om->stages.add();
-        Time per_byte = nanoseconds(costs.per_stage_ns_per_byte *
-                                    static_cast<double>(bytes));
-        return tp->busy(costs.per_stage + per_byte);
+        return tp->busy(stageCost(costs, bytes));
+    }
+
+    /** One stage's software cost under @p c for @p bytes handled. */
+    static Time
+    stageCost(const machine::CollCosts &c, Bytes bytes)
+    {
+        return c.per_stage + nanoseconds(c.per_stage_ns_per_byte *
+                                         static_cast<double>(bytes));
     }
 
     /** Charge the arithmetic to combine @p m bytes of operands. */
@@ -168,6 +174,16 @@ struct CollCtx
         return -1;
     }
 };
+
+/**
+ * Close out one timed collective call at global rank @p grank: bump
+ * the op's call count and record the duration since @p t0 in @p om;
+ * at rank 0 with tracing on, also sample the machine-wide network
+ * counters, so Chrome timelines carry "C" counter tracks next to the
+ * activity spans.
+ */
+void finishColl(machine::Machine &mach, int grank,
+                stats::CollOpMetrics &om, Time t0);
 
 /** Smallest e with 2^e >= p (p >= 1). */
 int ceilLog2(int p);

@@ -23,30 +23,6 @@ collContext(int ctx_id)
     return ctx_id * 2 + 1;
 }
 
-/**
- * Close out one timed collective call: bump the op's call count,
- * record the per-rank duration, and (rank 0 only, trace enabled)
- * sample machine-wide network counters so Chrome timelines carry
- * "C" counter tracks next to the activity spans.
- */
-void
-finishColl(machine::Machine *mach, int grank, stats::CollOpMetrics *om,
-           Time t0)
-{
-    Time now = mach->sim().now();
-    om->calls.add();
-    om->time_us.add(toMicros(now - t0));
-    if (grank == 0 && mach->trace().enabled()) {
-        net::Network &net = mach->network();
-        mach->trace().recordCounter(
-            now, "net.payload_bytes",
-            static_cast<double>(net.totalBytes()));
-        if (const auto *lc = net.counters())
-            mach->trace().recordCounter(now, "net.stall_us",
-                                        toMicros(lc->total_stall));
-    }
-}
-
 } // namespace
 
 Comm::Comm(machine::Machine &mach, int rank)
@@ -231,7 +207,7 @@ Comm::bcastCore(Bytes m, int root, Algo algo, msg::PayloadPtr data)
     const Time t0 = mach_->sim().now();
     msg::PayloadPtr out = co_await bcastImpl(ctx, algo, m, root, std::move(data));
     if (om)
-        finishColl(mach_, globalRank(rank_), om, t0);
+        finishColl(*mach_, globalRank(rank_), *om, t0);
     co_return out;
 }
 
@@ -244,7 +220,7 @@ Comm::gatherCore(Bytes m, int root, Algo algo, msg::PayloadPtr mine)
     const Time t0 = mach_->sim().now();
     msg::PayloadPtr out = co_await gatherImpl(ctx, algo, m, root, std::move(mine));
     if (om)
-        finishColl(mach_, globalRank(rank_), om, t0);
+        finishColl(*mach_, globalRank(rank_), *om, t0);
     co_return out;
 }
 
@@ -257,7 +233,7 @@ Comm::scatterCore(Bytes m, int root, Algo algo, msg::PayloadPtr all)
     const Time t0 = mach_->sim().now();
     msg::PayloadPtr out = co_await scatterImpl(ctx, algo, m, root, std::move(all));
     if (om)
-        finishColl(mach_, globalRank(rank_), om, t0);
+        finishColl(*mach_, globalRank(rank_), *om, t0);
     co_return out;
 }
 
@@ -276,7 +252,7 @@ Comm::gathervCore(std::vector<Bytes> counts, int root, Algo algo,
     msg::PayloadPtr out = co_await gathervImpl(ctx, algo, counts, root,
                                    std::move(mine));
     if (om)
-        finishColl(mach_, globalRank(rank_), om, t0);
+        finishColl(*mach_, globalRank(rank_), *om, t0);
     co_return out;
 }
 
@@ -293,7 +269,7 @@ Comm::scattervCore(std::vector<Bytes> counts, int root, Algo algo,
     msg::PayloadPtr out = co_await scattervImpl(ctx, algo, counts, root,
                                     std::move(all));
     if (om)
-        finishColl(mach_, globalRank(rank_), om, t0);
+        finishColl(*mach_, globalRank(rank_), *om, t0);
     co_return out;
 }
 
@@ -306,7 +282,7 @@ Comm::allgatherCore(Bytes m, Algo algo, msg::PayloadPtr mine)
     const Time t0 = mach_->sim().now();
     msg::PayloadPtr out = co_await allgatherImpl(ctx, algo, m, std::move(mine));
     if (om)
-        finishColl(mach_, globalRank(rank_), om, t0);
+        finishColl(*mach_, globalRank(rank_), *om, t0);
     co_return out;
 }
 
@@ -319,7 +295,7 @@ Comm::alltoallCore(Bytes m, Algo algo, msg::PayloadPtr mine)
     const Time t0 = mach_->sim().now();
     msg::PayloadPtr out = co_await alltoallImpl(ctx, algo, m, std::move(mine));
     if (om)
-        finishColl(mach_, globalRank(rank_), om, t0);
+        finishColl(*mach_, globalRank(rank_), *om, t0);
     co_return out;
 }
 
@@ -333,7 +309,7 @@ Comm::reduceCore(Bytes m, int root, Algo algo, Combiner combiner,
     const Time t0 = mach_->sim().now();
     msg::PayloadPtr out = co_await reduceImpl(ctx, algo, m, root, std::move(mine));
     if (om)
-        finishColl(mach_, globalRank(rank_), om, t0);
+        finishColl(*mach_, globalRank(rank_), *om, t0);
     co_return out;
 }
 
@@ -347,7 +323,7 @@ Comm::allreduceCore(Bytes m, Algo algo, Combiner combiner,
     const Time t0 = mach_->sim().now();
     msg::PayloadPtr out = co_await allreduceImpl(ctx, algo, m, std::move(mine));
     if (om)
-        finishColl(mach_, globalRank(rank_), om, t0);
+        finishColl(*mach_, globalRank(rank_), *om, t0);
     co_return out;
 }
 
@@ -362,7 +338,7 @@ Comm::reduceScatterCore(Bytes m, Algo algo, Combiner combiner,
     const Time t0 = mach_->sim().now();
     msg::PayloadPtr out = co_await reduceScatterImpl(ctx, algo, m, std::move(mine));
     if (om)
-        finishColl(mach_, globalRank(rank_), om, t0);
+        finishColl(*mach_, globalRank(rank_), *om, t0);
     co_return out;
 }
 
@@ -376,88 +352,85 @@ Comm::scanCore(Bytes m, Algo algo, Combiner combiner,
     const Time t0 = mach_->sim().now();
     msg::PayloadPtr out = co_await scanImpl(ctx, algo, m, std::move(mine));
     if (om)
-        finishColl(mach_, globalRank(rank_), om, t0);
+        finishColl(*mach_, globalRank(rank_), *om, t0);
     co_return out;
 }
 
 // ---- size-only front-ends ---------------------------------------------
+// Plain functions: each returns its Core for the caller to await.
 
-sim::Task<void>
+CollAwaiter
 Comm::barrier(Algo algo)
 {
     hookCollective(Coll::Barrier, 0, -1, algo);
     CollCtx ctx = makeCtx(Coll::Barrier, algo, 0, {});
-    stats::CollOpMetrics *om = ctx.om;
-    const Time t0 = mach_->sim().now();
-    co_await barrierImpl(ctx, algo);
-    if (om)
-        finishColl(mach_, globalRank(rank_), om, t0);
+    return CollAwaiter(std::make_unique<BarrierRounds>(ctx, algo));
 }
 
-sim::Task<void>
+CollAwaiter
 Comm::bcast(Bytes m, int root, Algo algo)
 {
-    co_await bcastCore(m, root, algo, nullptr);
+    return CollAwaiter(bcastCore(m, root, algo, nullptr));
 }
 
-sim::Task<void>
+CollAwaiter
 Comm::gather(Bytes m, int root, Algo algo)
 {
-    co_await gatherCore(m, root, algo, nullptr);
+    return CollAwaiter(gatherCore(m, root, algo, nullptr));
 }
 
-sim::Task<void>
+CollAwaiter
 Comm::scatter(Bytes m, int root, Algo algo)
 {
-    co_await scatterCore(m, root, algo, nullptr);
+    return CollAwaiter(scatterCore(m, root, algo, nullptr));
 }
 
-sim::Task<void>
+CollAwaiter
 Comm::allgather(Bytes m, Algo algo)
 {
-    co_await allgatherCore(m, algo, nullptr);
+    return CollAwaiter(allgatherCore(m, algo, nullptr));
 }
 
-sim::Task<void>
+CollAwaiter
 Comm::gatherv(const std::vector<Bytes> &counts, int root, Algo algo)
 {
-    co_await gathervCore(counts, root, algo, nullptr);
+    return CollAwaiter(gathervCore(counts, root, algo, nullptr));
 }
 
-sim::Task<void>
+CollAwaiter
 Comm::scatterv(const std::vector<Bytes> &counts, int root, Algo algo)
 {
-    co_await scattervCore(counts, root, algo, nullptr);
+    return CollAwaiter(scattervCore(counts, root, algo, nullptr));
 }
 
-sim::Task<void>
+CollAwaiter
 Comm::alltoall(Bytes m, Algo algo)
 {
-    co_await alltoallCore(m, algo, nullptr);
+    return CollAwaiter(alltoallCore(m, algo, nullptr));
 }
 
-sim::Task<void>
+CollAwaiter
 Comm::reduce(Bytes m, int root, Algo algo)
 {
-    co_await reduceCore(m, root, algo, {}, nullptr);
+    return CollAwaiter(reduceCore(m, root, algo, {}, nullptr));
 }
 
-sim::Task<void>
+CollAwaiter
 Comm::allreduce(Bytes m, Algo algo)
 {
-    co_await allreduceCore(m, algo, {}, nullptr);
+    return CollAwaiter(allreduceCore(m, algo, {}, nullptr));
 }
 
-sim::Task<void>
+CollAwaiter
 Comm::reduceScatter(Bytes m, Algo algo)
 {
-    co_await reduceScatterCore(m, algo, {}, nullptr);
+    return CollAwaiter(reduceScatterCore(m, algo, {}, nullptr));
 }
 
-sim::Task<void>
+CollAwaiter
 Comm::scan(Bytes m, Algo algo)
 {
-    co_await scanCore(m, algo, {}, nullptr);
+    return CollAwaiter(scanCore(m, algo, {}, nullptr));
 }
 
 } // namespace ccsim::mpi

@@ -44,6 +44,63 @@ namespace ccsim::mpi {
 using machine::Algo;
 using machine::Coll;
 
+/**
+ * What every size-only collective returns: the call, already set up;
+ * co_await it at once.  A barrier is a BarrierRounds state that is
+ * already running (it started at the call, as a coroutine started at
+ * its co_await), so awaiting it costs no frame.  Any other collective
+ * is its *Core coroutine itself, started by the co_await, so no
+ * frame sits between the caller and the Core.
+ */
+class [[nodiscard]] CollAwaiter
+{
+  public:
+    explicit CollAwaiter(sim::Task<msg::PayloadPtr> core)
+        : core_(std::move(core))
+    {
+    }
+
+    explicit CollAwaiter(std::unique_ptr<BarrierRounds> barrier)
+        : barrier_(std::move(barrier))
+    {
+    }
+
+    bool
+    await_ready() const noexcept
+    {
+        return barrier_ && barrier_->done();
+    }
+
+    std::coroutine_handle<>
+    await_suspend(std::coroutine_handle<> caller)
+    {
+        if (barrier_) {
+            barrier_->park(caller);
+            return std::noop_coroutine();
+        }
+        return coreAwaiter().await_suspend(caller);
+    }
+
+    void
+    await_resume() const
+    {
+        if (!barrier_)
+            coreAwaiter().await_resume(); // rethrows; drops the payload
+        else if (std::exception_ptr e = barrier_->error())
+            std::rethrow_exception(e);
+    }
+
+  private:
+    sim::Task<msg::PayloadPtr>::Awaiter
+    coreAwaiter() const
+    {
+        return {core_.handle()};
+    }
+
+    sim::Task<msg::PayloadPtr> core_;
+    std::unique_ptr<BarrierRounds> barrier_;
+};
+
 /** Per-rank communicator handle. */
 class Comm
 {
@@ -94,8 +151,11 @@ class Comm
     // pair (per-operand bytes for reduce/scan).
 
     // Every size-only method is its *Data sibling with a null
-    // payload: both forward to one private *Core per operation, so
-    // timing and tag allocation cannot diverge between the two forms.
+    // payload: both run one private *Core per operation, so timing
+    // and tag allocation cannot diverge between the two forms.  The
+    // size-only form returns that Core (wrapped in a CollAwaiter)
+    // instead of awaiting it, so it adds no coroutine frame; the
+    // barrier, which has no *Data form, runs as BarrierRounds.
 
     // The default argument is Algo::Auto: resolved through the
     // machine's selection table when one is attached (see
@@ -103,24 +163,24 @@ class Comm
     // machine's configured choice — when none is.  Explicit
     // algorithms always pass through untouched.
 
-    sim::Task<void> barrier(Algo algo = Algo::Auto);
-    sim::Task<void> bcast(Bytes m, int root = 0,
-                          Algo algo = Algo::Auto);
-    sim::Task<void> gather(Bytes m, int root = 0,
-                           Algo algo = Algo::Auto);
-    sim::Task<void> scatter(Bytes m, int root = 0,
-                            Algo algo = Algo::Auto);
-    sim::Task<void> allgather(Bytes m, Algo algo = Algo::Auto);
-    sim::Task<void> gatherv(const std::vector<Bytes> &counts,
-                            int root = 0, Algo algo = Algo::Auto);
-    sim::Task<void> scatterv(const std::vector<Bytes> &counts,
-                             int root = 0, Algo algo = Algo::Auto);
-    sim::Task<void> alltoall(Bytes m, Algo algo = Algo::Auto);
-    sim::Task<void> reduce(Bytes m, int root = 0,
-                           Algo algo = Algo::Auto);
-    sim::Task<void> allreduce(Bytes m, Algo algo = Algo::Auto);
-    sim::Task<void> reduceScatter(Bytes m, Algo algo = Algo::Auto);
-    sim::Task<void> scan(Bytes m, Algo algo = Algo::Auto);
+    CollAwaiter barrier(Algo algo = Algo::Auto);
+    CollAwaiter bcast(Bytes m, int root = 0,
+                      Algo algo = Algo::Auto);
+    CollAwaiter gather(Bytes m, int root = 0,
+                       Algo algo = Algo::Auto);
+    CollAwaiter scatter(Bytes m, int root = 0,
+                        Algo algo = Algo::Auto);
+    CollAwaiter allgather(Bytes m, Algo algo = Algo::Auto);
+    CollAwaiter gatherv(const std::vector<Bytes> &counts,
+                        int root = 0, Algo algo = Algo::Auto);
+    CollAwaiter scatterv(const std::vector<Bytes> &counts,
+                         int root = 0, Algo algo = Algo::Auto);
+    CollAwaiter alltoall(Bytes m, Algo algo = Algo::Auto);
+    CollAwaiter reduce(Bytes m, int root = 0,
+                       Algo algo = Algo::Auto);
+    CollAwaiter allreduce(Bytes m, Algo algo = Algo::Auto);
+    CollAwaiter reduceScatter(Bytes m, Algo algo = Algo::Auto);
+    CollAwaiter scan(Bytes m, Algo algo = Algo::Auto);
 
     // ---- collectives, data-carrying ------------------------------------
 

@@ -64,18 +64,18 @@ Transport::then(Time end, ReqPtr st, Step step)
 }
 
 void
-ReqState::complete()
+ReqState::complete(sim::Simulator &sim)
 {
-    std::coroutine_handle<> h = std::exchange(waiter, nullptr);
-    if (!h) {
-        done.fire();
+    fired = true;
+    sim::Continuation k = std::exchange(waiter, {});
+    if (!k)
         return;
-    }
-    if (pair && !pair->done.fired() && !exc) {
-        pair->done.wait().await_suspend(h);
-        return;
-    }
-    h.resume();
+    if (by_event)
+        sim.resumeNow(k);
+    else if (pair && !pair->fired && !exc)
+        pair->wakeByEvent(k);
+    else
+        k();
 }
 
 bool
@@ -216,12 +216,12 @@ Transport::startSend(int dst, int tag, int context, Bytes bytes,
         panic("Transport::send: payload size %zu != declared %lld",
               payload->size(), static_cast<long long>(bytes));
 
-    ReqPtr st = req_pool_.make(sim_);
+    ReqPtr st = req_pool_.make();
     ++sends_;
     bytes_sent_ += bytes;
     st->span_start = sim_.now();
-    st->msg.emplace(
-        Message{node_, dst, tag, context, bytes, std::move(payload), 0, 0});
+    st->msg =
+        Message{node_, dst, tag, context, bytes, std::move(payload), 0, 0};
 
     if (tm_)
         tm_->msg_bytes.add(static_cast<double>(bytes));
@@ -248,13 +248,13 @@ Transport::startSend(int dst, int tag, int context, Bytes bytes,
 void
 Transport::deliverSelf(ReqPtr st)
 {
-    Message &m = *st->msg;
+    Message &m = st->msg;
     m.arrival = sim_.now();
     const Bytes bytes = m.bytes;
     deliverEager(std::move(m));
-    st->msg.reset();
+    st->msg = {};
     traceSpan(sim::SpanKind::Send, st->span_start, bytes, node_);
-    st->complete();
+    st->complete(sim_);
 }
 
 void
@@ -262,7 +262,7 @@ Transport::injectEager(ReqPtr st)
 {
     // The injection copy runs on the coprocessor/DMA timeline; the
     // main CPU is held only for its (1 - overlap) share.
-    Message &m = *st->msg;
+    Message &m = st->msg;
     const int dst = m.dst;
     const Bytes bytes = m.bytes;
     const Time copy = transferTime(bytes, params_.copy_bandwidth_mbs);
@@ -288,25 +288,25 @@ Transport::injectEager(ReqPtr st)
 void
 Transport::sendDone(ReqPtr st)
 {
-    traceSpan(sim::SpanKind::Send, st->span_start, st->msg->bytes,
-              st->msg->dst);
-    st->msg.reset();
-    st->complete();
+    traceSpan(sim::SpanKind::Send, st->span_start, st->msg.bytes,
+              st->msg.dst);
+    st->msg = {};
+    st->complete(sim_);
 }
 
 sim::Task<void>
 Transport::sendRendezvous(ReqPtr st, Time o_send)
 {
     // RTS -> CTS -> DATA.
-    const int dst = st->msg->dst;
-    const Bytes bytes = st->msg->bytes;
+    const int dst = st->msg.dst;
+    const Bytes bytes = st->msg.bytes;
     try {
         Transport *peer = &fabric_.node(dst);
         const Time copy = transferTime(bytes, params_.copy_bandwidth_mbs);
         co_await busy(o_send + params_.rendezvous_overhead);
         HandshakePtr hs = hs_pool_.make(sim_);
-        Rts rts{node_, st->msg->tag, st->msg->context, bytes,
-                st->msg->payload, hs, 0};
+        Rts rts{node_, st->msg.tag, st->msg.context, bytes,
+                st->msg.payload, hs, 0};
         transmitWire(dst, 0, sim_.now(),
                      [this, peer, rts = std::move(rts)](Time arrival) mutable {
                          sim_.scheduleAt(arrival,
@@ -329,7 +329,7 @@ Transport::sendRendezvous(ReqPtr st, Time o_send)
             if (tm_)
                 tm_->blt_sends.add();
             co_await busy(params_.blt_setup);
-            hs->msg = std::move(*st->msg);
+            hs->msg = std::move(st->msg);
             transmitWire(dst, bytes, sim_.now(), fire_data);
         } else {
             Time copy_start = std::max(sim_.now(), copro_free_);
@@ -338,7 +338,7 @@ Transport::sendRendezvous(ReqPtr st, Time o_send)
             if (tm_)
                 tm_->inject_backlog_us.observe(
                     toMicros(inject_done - sim_.now()));
-            hs->msg = std::move(*st->msg);
+            hs->msg = std::move(st->msg);
             transmitWire(dst, bytes, inject_done, fire_data);
             co_await busy(
                 scaleTime(copy, 1.0 - params_.coprocessor_overlap));
@@ -347,8 +347,8 @@ Transport::sendRendezvous(ReqPtr st, Time o_send)
     } catch (...) {
         st->exc = std::current_exception();
     }
-    st->msg.reset();
-    st->complete();
+    st->msg = {};
+    st->complete(sim_);
 }
 
 Transport::ReqPtr
@@ -356,7 +356,7 @@ Transport::startRecv(int src, int tag, int context, CostOverride ov)
 {
     if (src != kAnySource && (src < 0 || src >= fabric_.size()))
         panic("Transport::recv: source %d out of range", src);
-    ReqPtr st = req_pool_.make(sim_);
+    ReqPtr st = req_pool_.make();
     st->o_recv = ov.recv >= 0 ? ov.recv : params_.recv_overhead;
     st->span_start = sim_.now();
 
@@ -408,7 +408,7 @@ void
 Transport::copyOut(ReqPtr st)
 {
     const Time cost =
-        st->o_recv + transferTime(st->msg->bytes, params_.copy_bandwidth_mbs);
+        st->o_recv + transferTime(st->msg.bytes, params_.copy_bandwidth_mbs);
     then(charge(cost), std::move(st), &Transport::recvDone);
 }
 
@@ -418,9 +418,9 @@ Transport::recvDone(ReqPtr st)
     ++recvs_;
     if (tm_)
         tm_->recvs.add();
-    traceSpan(sim::SpanKind::Recv, st->span_start, st->msg->bytes,
-              st->msg->src);
-    st->complete();
+    traceSpan(sim::SpanKind::Recv, st->span_start, st->msg.bytes,
+              st->msg.src);
+    st->complete(sim_);
 }
 
 sim::Task<void>
@@ -442,12 +442,12 @@ Transport::recvRendezvous(ReqPtr st, Rts rts, bool wake)
         if (tm_)
             tm_->recvs.add();
         st->msg = std::move(rts.hs->msg);
-        traceSpan(sim::SpanKind::Recv, st->span_start, st->msg->bytes,
-                  st->msg->src);
+        traceSpan(sim::SpanKind::Recv, st->span_start, st->msg.bytes,
+                  st->msg.src);
     } catch (...) {
         st->exc = std::current_exception();
     }
-    st->complete();
+    st->complete(sim_);
 }
 
 void
@@ -517,9 +517,9 @@ Transport::isend(int dst, int tag, int context, Bytes bytes,
             startSend(dst, tag, context, bytes, std::move(payload), ov)};
     } catch (...) {
         // A bad argument fails the request, not the caller.
-        ReqPtr st = req_pool_.make(sim_);
+        ReqPtr st = req_pool_.make();
         st->exc = std::current_exception();
-        st->done.fire();
+        st->fired = true;
         return Request{std::move(st)};
     }
 }
@@ -530,9 +530,9 @@ Transport::irecv(int src, int tag, int context, CostOverride ov)
     try {
         return Request{startRecv(src, tag, context, ov)};
     } catch (...) {
-        ReqPtr st = req_pool_.make(sim_);
+        ReqPtr st = req_pool_.make();
         st->exc = std::current_exception();
-        st->done.fire();
+        st->fired = true;
         return Request{std::move(st)};
     }
 }

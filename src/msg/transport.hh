@@ -45,7 +45,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "fault/fault_injector.hh"
@@ -114,43 +113,57 @@ struct CostOverride
  * Completion state of one point-to-point operation, pooled by the
  * issuing Transport.  The eager protocol runs as callbacks that carry
  * a PoolPtr to this slot from one step to the next, so an operation
- * in flight costs one slot, not a chain of coroutine frames.
+ * in flight costs one slot, not a chain of coroutine frames.  The
+ * slot is kept within one 128-byte frame-pool block: a barrier rank
+ * holds two of them in flight.
  */
 struct ReqState
 {
-    explicit ReqState(sim::Simulator &s) : done(s) {}
+    /** Finish the operation and resume its waiter, if any: a caller
+     *  blocked in send/recv/sendrecv inline, as a finished coroutine
+     *  returns to its caller; one parked by a wait from one event at
+     *  now, as a trigger wakes its waiters. */
+    void complete(sim::Simulator &sim);
 
-    /** Finish the operation: resume a blocked send/recv/sendrecv
-     *  caller directly, or fire the trigger a Request waits on. */
-    void complete();
+    /** Park @p k until completion, to be resumed from an event (a
+     *  wait on a Request, or a sendrecv waiting for its send half).
+     *  A request has one waiter at a time, as in MPI. */
+    void
+    wakeByEvent(sim::Continuation k)
+    {
+        if (waiter)
+            panic("ReqState: a request is already being waited on");
+        waiter = k;
+        by_event = true;
+    }
 
-    sim::Trigger done;
     /** Receives: the matched message.  Sends: the outgoing envelope
-     *  until completion (the payload moves onto the wire). */
-    std::optional<Message> msg;
+     *  until completion, then empty (the payload moved onto the
+     *  wire). */
+    Message msg;
     std::exception_ptr exc;
-    /** The caller blocked in send/recv/sendrecv, resumed inline at
-     *  completion as a finished coroutine's caller would be; null
-     *  for a Request. */
-    std::coroutine_handle<> waiter;
+    /** Who complete() resumes: a coroutine or a frame-free state
+     *  machine; empty while nobody waits. */
+    sim::Continuation waiter;
     /** sendrecv only: the send half, which its caller waits for too. */
     sim::PoolPtr<ReqState> pair;
     Time span_start = 0; //!< when the operation started (trace span)
     Time o_recv = 0;     //!< receive-completion overhead (receives)
+    bool fired = false;    //!< the operation has completed (or failed)
+    bool by_event = false; //!< waiter is resumed from an event at now
 };
 
 /**
  * Handle for a nonblocking send/receive.  The state slot is pooled
  * by the issuing Transport, so a Request must not outlive its
- * Machine — which was already the rule, since ReqState references
- * the Simulator.
+ * Machine.
  */
 struct Request
 {
     sim::PoolPtr<ReqState> state;
 
     /** True once the operation has completed (or failed). */
-    bool test() const { return state && state->done.fired(); }
+    bool test() const { return state && state->fired; }
 };
 
 /**
@@ -168,9 +181,9 @@ class [[nodiscard]] BusyAwaiter
     bool await_ready() const noexcept { return end_ <= sim_->now(); }
 
     void
-    await_suspend(std::coroutine_handle<> h) const
+    await_suspend(sim::Continuation k) const
     {
-        sim_->resumeAt(end_, h);
+        sim_->resumeAt(end_, k);
     }
 
     void await_resume() const noexcept {}
@@ -181,22 +194,23 @@ class [[nodiscard]] BusyAwaiter
 };
 
 /**
- * What Transport::wait returns: parks the caller on the request's
- * completion trigger (ready at once if it has already fired), then
- * rethrows the operation's failure or hands back its message (an
- * empty Message for sends).  No coroutine frame is created.
+ * What Transport::wait returns: parks the caller until the request
+ * completes (ready at once if it has), resumed from one event at the
+ * completion, then rethrows the operation's failure or hands back its
+ * message (an empty Message for sends).  No coroutine frame is
+ * created.
  */
 class [[nodiscard]] WaitAwaiter
 {
   public:
     explicit WaitAwaiter(Request req) : req_(std::move(req)) {}
 
-    bool await_ready() const noexcept { return req_.state->done.fired(); }
+    bool await_ready() const noexcept { return req_.state->fired; }
 
     void
-    await_suspend(std::coroutine_handle<> h)
+    await_suspend(sim::Continuation k)
     {
-        req_.state->done.wait().await_suspend(h);
+        req_.state->wakeByEvent(k);
     }
 
     Message
@@ -205,9 +219,7 @@ class [[nodiscard]] WaitAwaiter
         ReqState &st = *req_.state;
         if (st.exc)
             std::rethrow_exception(st.exc);
-        if (st.msg)
-            return std::move(*st.msg);
-        return Message{};
+        return std::move(st.msg);
     }
 
   private:
@@ -220,41 +232,48 @@ class [[nodiscard]] WaitAwaiter
  * coroutine started at its co_await); awaiting it blocks until it
  * completes.  A completion resumes the caller directly, with no
  * event, as a finished coroutine returns to its caller.  A sendrecv
- * whose receive finishes before its send then waits on the send's
- * trigger, as a wait() on the send would.  No coroutine frame is
- * created.
+ * whose receive finishes before its send then waits for the send as
+ * a wait() on it would, resumed from one event.  No coroutine frame
+ * is created.
  */
 class OpAwaiter
 {
   public:
+    OpAwaiter() = default;
+
     explicit OpAwaiter(sim::PoolPtr<ReqState> st) : st_(std::move(st)) {}
 
     bool
     await_ready() const noexcept
     {
         const ReqState &st = *st_;
-        return st.done.fired() &&
-               (st.exc || !st.pair || st.pair->done.fired());
+        return st.fired && (st.exc || !st.pair || st.pair->fired);
     }
 
     void
-    await_suspend(std::coroutine_handle<> h)
+    await_suspend(sim::Continuation k)
     {
-        if (!st_->done.fired())
-            st_->waiter = h;
+        if (!st_->fired)
+            st_->waiter = k;
         else
-            st_->pair->done.wait().await_suspend(h);
+            st_->pair->wakeByEvent(k);
+    }
+
+    /** The operation's failure, else its send half's, else null. */
+    std::exception_ptr
+    error() const
+    {
+        if (st_->exc)
+            return st_->exc;
+        return st_->pair ? st_->pair->exc : nullptr;
     }
 
   protected:
-    /** Rethrow the operation's failure, then its send half's. */
     void
     rethrow() const
     {
-        if (st_->exc)
-            std::rethrow_exception(st_->exc);
-        if (st_->pair && st_->pair->exc)
-            std::rethrow_exception(st_->pair->exc);
+        if (std::exception_ptr e = error())
+            std::rethrow_exception(e);
     }
 
     sim::PoolPtr<ReqState> st_;
@@ -279,7 +298,7 @@ class [[nodiscard]] RecvAwaiter : public OpAwaiter
     await_resume()
     {
         rethrow();
-        return std::move(*st_->msg);
+        return std::move(st_->msg);
     }
 };
 

@@ -81,6 +81,9 @@ struct PoolCounters
     std::uint64_t reuses = 0;   //!< served from the freelist
     std::uint64_t allocs = 0;   //!< fell through to the heap
     std::uint64_t oversize = 0; //!< larger than any size class
+    /** FramePool only: bytes of the size-class blocks it took from
+     *  the heap (from a trimmed pool, a run's peak of live state). */
+    std::uint64_t alloc_bytes = 0;
 };
 
 /**
@@ -146,6 +149,7 @@ class FramePool
             return head;
         }
         ++counters_.allocs;
+        counters_.alloc_bytes += bytesFor(c);
         return ::operator new(bytesFor(c));
     }
 

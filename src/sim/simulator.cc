@@ -21,27 +21,27 @@ Trigger::fire()
     fired_ = true;
     if (first_) {
         sim_.resumeNow(first_);
-        first_ = nullptr;
+        first_ = {};
     }
     if (!spill_.empty()) {
         // Broadcast release: one batched reservation for the whole
         // fan-out instead of per-waiter queue growth.
         sim_.queue().scheduleBatchAt(
             sim_.now(), spill_.size(), [this](std::size_t i) {
-                auto h = spill_[i];
-                return EventQueue::Callback([h] { h.resume(); });
+                Continuation k = spill_[i];
+                return EventQueue::Callback([k] { k(); });
             });
         spill_.clear();
     }
 }
 
 void
-Trigger::Awaiter::await_suspend(std::coroutine_handle<> h)
+Trigger::Awaiter::await_suspend(Continuation k)
 {
     if (!trigger_.first_ && trigger_.spill_.empty())
-        trigger_.first_ = h;
+        trigger_.first_ = k;
     else
-        trigger_.spill_.push_back(h);
+        trigger_.spill_.push_back(k);
 }
 
 void

@@ -39,6 +39,47 @@ namespace ccsim::sim {
 
 class Simulator;
 
+/**
+ * What a blocking primitive resumes when it completes: a suspended
+ * coroutine, or one step of a frame-free state machine (a function
+ * and its state).  Two words, no allocation; a coroutine handle
+ * converts implicitly, so every awaiter that parks a handle parks a
+ * Continuation instead, and a state machine can wait on the same
+ * awaiters without a coroutine frame of its own.
+ */
+class Continuation
+{
+  public:
+    Continuation() = default;
+
+    template <typename P>
+    Continuation(std::coroutine_handle<P> h) // NOLINT: implicit by design
+        : arg_(h.address())
+    {
+    }
+
+    /** Run @p fn (@p state) on completion. */
+    Continuation(void (*fn)(void *), void *state) : fn_(fn), arg_(state)
+    {
+    }
+
+    explicit operator bool() const { return arg_ != nullptr; }
+
+    /** Resume the coroutine, or run the step, inline. */
+    void
+    operator()() const
+    {
+        if (fn_)
+            fn_(arg_);
+        else
+            std::coroutine_handle<>::from_address(arg_).resume();
+    }
+
+  private:
+    void (*fn_)(void *) = nullptr; //!< null: arg_ is a coroutine frame
+    void *arg_ = nullptr;
+};
+
 /** Awaitable that resumes the caller after a fixed simulated delay. */
 class DelayAwaiter
 {
@@ -108,7 +149,7 @@ class Trigger
         explicit Awaiter(Trigger &t) : trigger_(t) {}
 
         bool await_ready() const noexcept { return trigger_.fired_; }
-        void await_suspend(std::coroutine_handle<> h);
+        void await_suspend(Continuation k);
         void await_resume() const noexcept {}
 
       private:
@@ -127,10 +168,8 @@ class Trigger
      *  (request completion, rendezvous CTS/DATA); only a broadcast
      *  fan-out (hardware barrier) spills into the vector, whose
      *  storage is pooled. */
-    std::coroutine_handle<> first_ = nullptr;
-    std::vector<std::coroutine_handle<>,
-                PoolAlloc<std::coroutine_handle<>>>
-        spill_;
+    Continuation first_;
+    std::vector<Continuation, PoolAlloc<Continuation>> spill_;
 };
 
 /** Event loop + task lifetime management. */
@@ -170,21 +209,23 @@ class Simulator
         queue_.scheduleNow(std::move(cb));
     }
 
-    /** Resume a parked coroutine at absolute time @p when. */
+    /** Resume a parked coroutine (or state machine) at absolute time
+     *  @p when. */
     void
-    resumeAt(Time when, std::coroutine_handle<> h)
+    resumeAt(Time when, Continuation k)
     {
-        queue_.schedule(when, [h] { h.resume(); });
+        queue_.schedule(when, [k] { k(); });
     }
 
-    /** Resume a parked coroutine at the current time (via the queue,
-     *  so ordering against other now-events stays stable).  Uses the
-     *  queue's append-at-now fast path rather than re-deriving now()
-     *  and re-checking it against itself. */
+    /** Resume a parked coroutine (or state machine) at the current
+     *  time (via the queue, so ordering against other now-events
+     *  stays stable).  Uses the queue's append-at-now fast path
+     *  rather than re-deriving now() and re-checking it against
+     *  itself. */
     void
-    resumeNow(std::coroutine_handle<> h)
+    resumeNow(Continuation k)
     {
-        queue_.scheduleNow([h] { h.resume(); });
+        queue_.scheduleNow([k] { k(); });
     }
 
     /** Awaitable: suspend the caller for @p d simulated time. */

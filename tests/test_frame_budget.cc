@@ -6,11 +6,12 @@
  * The counts are deterministic (the simulator is single-threaded and
  * each test starts from a trimmed pool), so each bound is tight
  * enough that turning busy()/wait() or the eager send/recv path into
- * coroutines, copying the collective context into every algorithm
- * frame, capping the blocks a size class may park, or skipping the
- * trim at Machine teardown trips one of them.  A last test pins the
- * event counts of a few fixed points, which the frame-free awaiters
- * must not move.
+ * coroutines, a coroutine frame that only forwards (a size-only
+ * front end, runCollectiveOnce, a barrier algorithm), copying the
+ * collective context into every algorithm frame, capping the blocks
+ * a size class may park, or skipping the trim at Machine teardown
+ * trips one of them.  A last test pins the event counts of a few
+ * fixed points, which the frame-free awaiters must not move.
  */
 
 #include <cstdint>
@@ -60,6 +61,24 @@ heapAllocsForBarrier(int p, int k)
     return framePool().counters().allocs - before;
 }
 
+/** Frame-pool blocks handed out (from the heap or the freelist) per
+ *  rank per timed call of @p op at @p p: the difference between
+ *  k = 4 and k = 2 over 2 p, so set-up and warm-up cancel. */
+double
+blocksPerRankPerCall(machine::Coll op, int p, Bytes m)
+{
+    auto blocks = [&](int k) {
+        framePool().trim(0);
+        const sim::PoolCounters before = framePool().counters();
+        harness::measureCollective(fatTreeSp2(), p, op, m,
+                                   machine::Algo::Default, coldOptions(k));
+        const sim::PoolCounters &after = framePool().counters();
+        return (after.reuses - before.reuses) +
+               (after.allocs - before.allocs);
+    };
+    return static_cast<double>(blocks(4) - blocks(2)) / (2.0 * p);
+}
+
 TEST(FrameBudget, HeapAllocationsDoNotGrowWithIterations)
 {
     // p = 2048 keeps more than FramePool::kReserve frames of one size
@@ -106,28 +125,57 @@ TEST(FrameBudget, FewFramesPerEagerSend)
     ASSERT_GT(sends, 0u);
     // An eager sendrecv round takes no frame-pool block: its send and
     // receive halves are ReqState slots that each Transport recycles
-    // itself, and CPU charges and waits are awaiters.  What remains is
-    // one barrier call's frames (runCollectiveOnce, Comm::barrier and
-    // barrierDissemination) spread over its log2 p rounds, plus the
-    // odd queue block: 0.54 per send.  One coroutine frame per message
-    // on the eager path would add at least 1.
+    // itself, and CPU charges and waits are awaiters.  A barrier call
+    // is one BarrierRounds block, spread over its log2 p rounds; what
+    // is left is the rank program's frame and the odd queue block:
+    // 0.32 per send (the parent of this bound, with three coroutine
+    // frames per barrier call, read 0.54).  One coroutine frame per message on the
+    // eager path would add at least 1, and a coroutine frame per
+    // barrier call (a forwarding layer, or a barrier algorithm run as
+    // a coroutine) 1/8 at p = 256.
     EXPECT_LE(static_cast<double>(blocks) / static_cast<double>(sends),
-              0.75)
+              0.4)
         << blocks << " pool blocks for " << sends << " eager sends";
 }
 
 TEST(FrameBudget, PeakBlocksPerRankOfABarrier)
 {
     // Heap blocks from a trimmed pool are the run's peak of live
-    // blocks.  Per rank that is four frames (the rank program,
-    // runCollectiveOnce, Comm::barrier, barrierDissemination), the
-    // send and receive ReqState slots, and one match-queue block: 7.
-    // A frame per eager send or receive, or a barrierImpl frame
-    // between Comm::barrier and the algorithm, breaks the bound.
-    const int p = 4096;
-    const std::uint64_t blocks = heapAllocsForBarrier(p, 2);
-    EXPECT_LE(static_cast<double>(blocks) / p, 7.5)
-        << blocks << " heap blocks for " << p << " ranks";
+    // blocks.  Per rank that is one coroutine frame (the rank
+    // program), the BarrierRounds state, the send and receive
+    // ReqState slots, and one match-queue block: 5, in 704 bytes.
+    // runCollectiveOnce, Comm::barrier or the barrier algorithm as a
+    // coroutine, or a frame per eager send or receive, adds a block
+    // per rank and breaks the bound; so does a ReqState or a
+    // BarrierRounds grown past its 128-byte block.
+    for (int p : {4096, 16384}) {
+        framePool().trim(0);
+        const sim::PoolCounters before = framePool().counters();
+        harness::measureCollective(fatTreeSp2(), p, machine::Coll::Barrier,
+                                   0, machine::Algo::Default,
+                                   coldOptions(2));
+        const sim::PoolCounters &after = framePool().counters();
+        const double blocks =
+            static_cast<double>(after.allocs - before.allocs) / p;
+        const double bytes =
+            static_cast<double>(after.alloc_bytes - before.alloc_bytes) /
+            p;
+        EXPECT_LE(blocks, 5.5) << "p = " << p;
+        EXPECT_LE(bytes, 768.0) << "p = " << p;
+    }
+}
+
+TEST(FrameBudget, SizeOnlyCollectivesAddNoForwardingFrame)
+{
+    // A size-only call is its *Core coroutine and the algorithm's
+    // frames, handed straight to the caller: Comm::bcast and
+    // Comm::alltoall return the Core, and runCollectiveOnce returns
+    // what they return.  Measured: 3.25 blocks per rank per bcast and
+    // 13.08 per alltoall (with a front-end frame and a
+    // runCollectiveOnce frame, 5.25 and 15.08).  A coroutine that only
+    // co_awaits the next layer adds one block per rank per call.
+    EXPECT_LE(blocksPerRankPerCall(machine::Coll::Bcast, 64, 1024), 3.75);
+    EXPECT_LE(blocksPerRankPerCall(machine::Coll::Alltoall, 64, 64), 13.5);
 }
 
 TEST(FrameBudget, DestroyedMachineLeavesOnlyTheReserve)
@@ -157,6 +205,43 @@ TEST(FrameBudget, EventCountsOfFixedPointsArePinned)
     EXPECT_EQ(events(machine::Coll::Barrier, 64, 0), 7680u);
     EXPECT_EQ(events(machine::Coll::Alltoall, 16, 1024), 4688u);
     EXPECT_EQ(events(machine::Coll::Scan, 16, 64), 1486u);
+}
+
+TEST(FrameBudget, BarrierPlansKeepTheCoroutinesEventsAndTimes)
+{
+    // Every barrier algorithm runs as a plan on BarrierRounds.  These
+    // points were pinned from the coroutine algorithms they replaced
+    // (non-power-of-two sizes, every software plan, the hardware
+    // tree): the same events, to the count, and the same times, to
+    // the picosecond.
+    harness::MeasureOptions o = coldOptions(2);
+    o.metrics = true;
+    struct Pin
+    {
+        machine::MachineConfig cfg;
+        machine::Algo algo;
+        int p;
+        Time max_time;
+        std::uint64_t events;
+    };
+    const Pin pins[] = {
+        {machine::sp2Config(), machine::Algo::Linear, 13, 2800500000, 657},
+        {machine::sp2Config(), machine::Algo::Binomial, 13, 961250000,
+         692},
+        {machine::sp2Config(), machine::Algo::Dissemination, 13,
+         485500000, 1040},
+        {machine::paragonConfig(), machine::Algo::Binomial, 24,
+         1407720000, 1426},
+        {machine::t3dConfig(), machine::Algo::Hardware, 8, 3000000, 36},
+    };
+    for (const Pin &pin : pins) {
+        harness::Measurement meas = harness::measureCollective(
+            pin.cfg, pin.p, machine::Coll::Barrier, 0, pin.algo, o);
+        EXPECT_EQ(meas.max_time, pin.max_time)
+            << pin.cfg.name << " " << machine::algoName(pin.algo);
+        EXPECT_EQ(meas.metrics.counters.at("sim.events"), pin.events)
+            << pin.cfg.name << " " << machine::algoName(pin.algo);
+    }
 }
 
 } // namespace

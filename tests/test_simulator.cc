@@ -205,6 +205,38 @@ TEST(Simulator, SuspendWithParksAndResumes)
     EXPECT_EQ(resumed_at, 42 * US);
 }
 
+TEST(Simulator, TriggerReleasesAFrameFreeContinuationInOrder)
+{
+    // A state machine parks a function and its state where a
+    // coroutine parks its handle; fire() releases both from events at
+    // now, in the order they parked.
+    Simulator s;
+    Trigger t(s);
+    std::vector<int> order;
+    struct Step
+    {
+        std::vector<int> *order;
+        Simulator *sim;
+        Time at = -1;
+    } step{&order, &s};
+    auto prog = [&]() -> Task<void> {
+        co_await t.wait();
+        order.push_back(1);
+    };
+    s.spawn(prog());
+    t.wait().await_suspend(Continuation(
+        [](void *state) {
+            auto *st = static_cast<Step *>(state);
+            st->order->push_back(2);
+            st->at = st->sim->now();
+        },
+        &step));
+    s.schedule(7 * US, [&] { t.fire(); });
+    s.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_EQ(step.at, 7 * US);
+}
+
 TEST(Simulator, RunTwiceWithFreshSpawns)
 {
     Simulator s;

@@ -33,6 +33,8 @@ TEST(SweepSpec, ExpandsCrossProductInSpecOrder)
     // Per machine: bcast 3 sizes x 2 lengths + barrier 3 x 1
     //              + alltoall 3 x 2 = 15.
     ASSERT_EQ(points.size(), 30u);
+    // Reserved exactly: no doubling growth touches spare pages.
+    EXPECT_EQ(points.capacity(), points.size());
     // Machine outermost.
     EXPECT_EQ(points[0].cfg.name, "T3D");
     EXPECT_EQ(points[15].cfg.name, "SP2");
@@ -70,6 +72,7 @@ TEST(SweepSpec, DefaultsToPaperSweeps)
     auto points = spec.expand();
     EXPECT_EQ(points.size(), paperMachineSizes("T3D").size() *
                                  paperMessageLengths().size());
+    EXPECT_EQ(points.capacity(), points.size());
 }
 
 /** The determinism contract: any --jobs level reproduces the serial
